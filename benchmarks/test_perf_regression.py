@@ -37,6 +37,7 @@ from repro.uncertainty.correlation import GaussianWorldModel, decaying_covarianc
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import NormalSpec
 from repro.uncertainty.objects import UncertainObject
+from reference.greedy import ScratchGreedyDep
 
 # Generous: the measured time is ~0.1 s; a 30x margin absorbs slow CI hosts
 # while still catching a return to the pure-Python kernels (~0.44 s locally,
@@ -234,9 +235,9 @@ def test_adaptive_incremental_n2000(benchmark, report):
     Times the n = 2,000 AdaptiveMinVar run (URx uniqueness workload,
     ground-truth oracle, 20% budget) three ways:
 
-    * the pre-PR teardown loop (``incremental=False``: a full ``cleaned()``
-      database and a fresh calculator per step, O(n) per-candidate scalar
-      gains) — measured once, it is the slow baseline;
+    * the pre-PR teardown loop (``AdaptiveMinVar._run_scratch``: a full
+      ``cleaned()`` database and a fresh calculator per step, O(n)
+      per-candidate scalar gains) — measured once, it is the slow baseline;
     * the incremental conditioning engine (reveal overlays,
       condition-chained calculators, neighbour-only gain updates) —
     best-of-``ADAPTIVE_REPEATS`` cold runs;
@@ -255,7 +256,7 @@ def test_adaptive_incremental_n2000(benchmark, report):
     oracle = ground_truth_oracle(truth)
 
     start = time.perf_counter()
-    scratch_run = AdaptiveMinVar(function, incremental=False).run(database, budget, oracle)
+    scratch_run = AdaptiveMinVar(function)._run_scratch(database, budget, oracle)
     scratch_seconds = time.perf_counter() - start
 
     incremental_seconds = float("inf")
@@ -370,9 +371,10 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     Times the n = 500 GreedyDep selection (conditional mode, 20% budget)
     three ways:
 
-    * the pre-PR scratch loop (``incremental=False``: one pseudo-inverse
-      Schur complement per candidate per step) — measured once, it is the
-      slow baseline and doubles as the eager benefit-evaluation count;
+    * the pre-PR scratch loop (``reference.greedy.ScratchGreedyDep``: one
+      pseudo-inverse Schur complement per candidate per step) — measured
+      once, it is the slow baseline and doubles as the eager
+      benefit-evaluation count;
     * the incremental engine (one rank-one downdate + one vectorized gains
       pass per step) — best-of-``DEP_REPEATS`` cold runs;
     * the lazy (CELF) scratch path — same selections, far fewer Schur
@@ -385,7 +387,7 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
     database, claim, model = _dep_workload(DEP_N)
     budget = database.total_cost * DEP_BUDGET_FRACTION
 
-    scratch_solver = GreedyDep(claim, model, incremental=False)
+    scratch_solver = ScratchGreedyDep(claim, model)
     start = time.perf_counter()
     scratch_selected = scratch_solver.select_indices(database, budget)
     scratch_seconds = time.perf_counter() - start
@@ -409,7 +411,7 @@ def test_greedy_dep_conditioning_engine_n500(benchmark, report):
 
     # Lazy CELF on the scratch path: exact here (nonnegative weights over the
     # nonnegative decaying covariance) with far fewer Schur complements.
-    lazy_solver = GreedyDep(claim, model, incremental=False, lazy=True)
+    lazy_solver = ScratchGreedyDep(claim, model, lazy=True)
     start = time.perf_counter()
     lazy_selected = lazy_solver.select_indices(database, budget)
     lazy_seconds = time.perf_counter() - start

@@ -1,7 +1,7 @@
 """Tier-comparison harness: every dispatched kernel, every tier, both dtypes.
 
 Measures the six hot-path kernels (``repro.kernels``) at several sizes under
-the ``scalar`` / ``numpy`` / ``compiled`` tiers in float64 and float32,
+the ``numpy`` and ``compiled`` tiers in float64 and float32,
 through the *dispatch layer* (so the measured cost is what an engine
 actually pays), and writes the full grid to ``BENCH_tiers.json``:
 
@@ -40,11 +40,10 @@ ARTIFACT_PATH = Path(__file__).parent / "BENCH_tiers.json"
 COMPILED_SPEEDUP_FLOOR = 3.0
 
 DTYPES = (np.float64, np.float32)
-TIERS = ("scalar", "numpy", "compiled")
+TIERS = ("numpy", "compiled")
 
-#: Best-of repeat counts per tier — the scalar tier is pure Python and only
-#: needs enough repeats to dodge scheduler noise, not to amortize anything.
-REPEATS = {"scalar": 3, "numpy": 30, "compiled": 30}
+#: Best-of repeat counts per tier.
+REPEATS = {"numpy": 30, "compiled": 30}
 
 
 def _best_of(function, repeats: int) -> float:
@@ -138,7 +137,7 @@ def test_tier_crossover_grid(report):
         pytest.skip(
             "no compiled kernel backend available "
             f"({kernels.compiled_unavailable_reason()}); "
-            "tier grid needs all three tiers"
+            "tier grid needs both tiers"
         )
 
     grid: dict = {}

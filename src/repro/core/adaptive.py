@@ -31,8 +31,8 @@ Incremental conditioning engine
 -------------------------------
 
 A reveal is a *small* event: it pins one object and leaves everything else
-untouched.  The default (``incremental=True``) policies exploit that
-end to end instead of tearing the stack down every step:
+untouched.  The policies exploit that end to end instead of tearing the
+stack down every step:
 
 * the working database is a :meth:`~repro.uncertainty.database.UncertainDatabase.conditioned`
   reveal overlay (shared cost/name state, delta-patched stat vectors), not a
@@ -48,19 +48,23 @@ end to end instead of tearing the stack down every step:
 * the affordable-candidate set is a persistent boolean mask pruned in place
   (feasibility is monotone), not an O(n) list rebuild per step.
 
-``incremental=False`` retains the original teardown loops — a fresh
-``cleaned()`` database and calculator per step, per-candidate scalar scoring —
-as the reference twin; ``tests/test_adaptive_incremental.py`` pins the two
-paths to identical runs.  :func:`run_adaptive_trials` batches the Monte-Carlo
-ablation across trials: one rng draws every hidden world in a single stacked
-``sample_worlds`` call and all trials share the policy's per-database
-precomputation (base calculator, memoized pieces, singleton kernel).
+Each policy has one code path and no switch.  :class:`AdaptiveMinVar` keeps
+one teardown loop — a fresh ``cleaned()`` database and calculator per step —
+as the route for query functions without incremental structure (the
+``exact`` row of :func:`~repro.core.expected_variance.ev_strategy`).  The
+equivalence suites pin the incremental paths to that loop and to the
+teardown twins of the other policies, which live with the tests.
+
+:func:`run_adaptive_trials` batches the Monte-Carlo ablation across trials:
+one rng draws every hidden world in a single stacked ``sample_worlds`` call
+and all trials share the policy's per-database precomputation (base
+calculator, memoized pieces, singleton kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -179,20 +183,19 @@ class AdaptiveMinVar(_AdaptivePolicy):
     distribution — unlike the static GreedyMinVar, which evaluates everything
     against the prior.
 
-    The default path is the incremental conditioning engine (overlay
-    databases, ``DecomposedEVCalculator.condition`` chains with surviving
-    memo tables, neighbour-only gain updates, O(1) contribution updates for
-    linear claims); ``incremental=False`` runs the retained teardown loop
-    that rebuilds the database and calculator from scratch every step.  The
-    two paths produce identical runs.
+    Decomposable measures and linear claims run on the incremental
+    conditioning engine (overlay databases, ``DecomposedEVCalculator.condition``
+    chains with surviving memo tables, neighbour-only gain updates, O(1)
+    contribution updates for linear claims); any other query function runs
+    the teardown loop that rebuilds the database and calculator every step.
+    Where both apply they produce identical runs.
     """
 
     name = "AdaptiveMinVar"
 
-    def __init__(self, function: ClaimFunction, min_gain: float = 1e-12, incremental: bool = True):
+    def __init__(self, function: ClaimFunction, min_gain: float = 1e-12):
         self.function = function
         self.min_gain = min_gain
-        self.incremental = bool(incremental)
         self._prepared: Optional[Tuple] = None
 
     def run(
@@ -202,10 +205,8 @@ class AdaptiveMinVar(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Clean adaptively until the budget is exhausted or nothing helps."""
-        if not self.incremental:
-            return self._run_scratch(database, budget, oracle)
         # ev_strategy is the same routing make_ev_calculator applies inside
-        # the scratch twin, so both paths take one mathematical route.
+        # the teardown loop, so every path takes one mathematical route.
         strategy = ev_strategy(database, self.function)
         if strategy == "decomposed":
             return self._run_decomposed(database, budget, oracle)
@@ -225,7 +226,7 @@ class AdaptiveMinVar(_AdaptivePolicy):
         ratio), and the best candidate is a masked argmax.  The objective is
         deliberately re-summed per step rather than kept as a running
         difference — one vectorized ``np.sum`` buys bit-identical agreement
-        with the scratch twin's closed-form evaluation, where a k-step
+        with the teardown loop's closed-form evaluation, where a k-step
         running subtraction would accumulate drift.
         """
         n = len(database)
@@ -361,11 +362,15 @@ class AdaptiveMinVar(_AdaptivePolicy):
                     gains[i] = calculator.marginal_gain(_EMPTY_FROZEN, i)
                     ratios[i] = gains[i] / costs[i]
 
-    # -- retained scratch twin ---------------------------------------------- #
+    # -- teardown loop ------------------------------------------------------ #
     def _run_scratch(
         self, database: UncertainDatabase, budget: float, oracle: RevealOracle
     ) -> AdaptiveRun:
-        """The original teardown loop: full rebuild of database + calculator per step."""
+        """The teardown loop: full rebuild of database + calculator per step.
+
+        The only route for ``exact``-strategy query functions, and the
+        reference the equivalence suites pin the incremental paths to.
+        """
         working = database
         costs = database.costs
         run = AdaptiveRun()
@@ -424,12 +429,10 @@ class AdaptiveMaxPr(_AdaptivePolicy):
     per-object drop statistics; only the required drop changes per step) and
     keeps the working database as a reveal overlay; functions without a
     batched singleton path fall back to a per-candidate calculator per step.
-    ``incremental=False`` retains the original teardown loop.  On
-    all-discrete databases the two paths produce identical runs; on
-    all-normal databases the incremental path keeps the Lemma 3.3 closed
-    form for the whole run, whereas the teardown loop loses it after the
+    On all-normal databases the policy keeps the Lemma 3.3 closed form for
+    the whole run, where a ``cleaned()`` rebuild would lose it after the
     first reveal (the cleaned point mass makes the database mixed and forces
-    its per-step calculator onto the Monte-Carlo fallback).
+    a fresh calculator onto the Monte-Carlo fallback).
     """
 
     name = "AdaptiveMaxPr"
@@ -439,12 +442,10 @@ class AdaptiveMaxPr(_AdaptivePolicy):
         function: ClaimFunction,
         tau: float = 0.0,
         min_gain: float = 1e-12,
-        incremental: bool = True,
     ):
         self.function = function
         self.tau = tau
         self.min_gain = min_gain
-        self.incremental = bool(incremental)
         self._prepared: Optional[Tuple[UncertainDatabase, SingletonSurpriseKernel]] = None
 
     def _kernel_for(self, database: UncertainDatabase) -> SingletonSurpriseKernel:
@@ -462,8 +463,6 @@ class AdaptiveMaxPr(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Execute the adaptive loop: reveal, update beliefs, re-plan (see class docs)."""
-        if not self.incremental:
-            return self._run_scratch(database, budget, oracle)
         baseline = float(self.function.evaluate(database.current_values))
         target = baseline - self.tau
         n = len(database)
@@ -528,68 +527,6 @@ class AdaptiveMaxPr(_AdaptivePolicy):
             run.final_objective = run.steps[-1].objective_after
             current_value = after_value
 
-    # -- retained scratch twin ---------------------------------------------- #
-    def _run_scratch(
-        self, database: UncertainDatabase, budget: float, oracle: RevealOracle
-    ) -> AdaptiveRun:
-        """The original teardown loop: fresh database, calculator and candidate list per step."""
-        baseline = float(self.function.evaluate(database.current_values))
-        target = baseline - self.tau
-        working = database
-        costs = database.costs
-        run = AdaptiveRun()
-        spent = 0.0
-        cleaned: set = set()
-
-        while True:
-            current_value = float(self.function.evaluate(working.current_values))
-            if current_value < target - 1e-12:
-                # The revealed data already supports the counterargument.
-                run.final_objective = 1.0
-                run.stopped_early = True
-                return run
-
-            candidates = [
-                i
-                for i in range(len(database))
-                if i not in cleaned and spent + costs[i] <= budget + 1e-9
-            ]
-            if not candidates:
-                run.final_objective = 0.0
-                return run
-
-            # The surprise calculator measures drops relative to the *working*
-            # database's current values, so express the original target as the
-            # drop still required from the current (partially revealed) state.
-            required_drop = current_value - target
-            calculator = make_surprise_calculator(
-                working, self.function, tau=max(required_drop, 0.0)
-            )
-            scores: Dict[int, float] = {i: calculator([i]) for i in candidates}
-            best = max(candidates, key=lambda i: scores[i] / costs[i])
-            if scores[best] <= self.min_gain:
-                run.final_objective = 0.0
-                run.stopped_early = True
-                return run
-
-            revealed = oracle(best)
-            before = scores[best]
-            working = working.cleaned({best: revealed})
-            cleaned.add(best)
-            spent += costs[best]
-            after_value = float(self.function.evaluate(working.current_values))
-            run.steps.append(
-                AdaptiveStep(
-                    index=best,
-                    revealed_value=revealed,
-                    cost=float(costs[best]),
-                    objective_before=before,
-                    objective_after=1.0 if after_value < target - 1e-12 else 0.0,
-                )
-            )
-            run.total_cost = spent
-            run.final_objective = run.steps[-1].objective_after
-
 
 @register_solver
 class AdaptiveDep(_AdaptivePolicy):
@@ -611,9 +548,7 @@ class AdaptiveDep(_AdaptivePolicy):
     safeguard); what adaptivity adds is the recorded trajectory — the actual
     reveals and the conditional-variance profile — and early stopping once no
     affordable candidate reduces the variance by more than ``min_gain``.
-    ``conditional=False`` uses the marginal (Theorem 3.9) semantics, and
-    ``incremental=False`` retains the teardown twin that recomputes every
-    candidate's post-cleaning variance from scratch each step.
+    ``conditional=False`` uses the marginal (Theorem 3.9) semantics.
     """
 
     name = "AdaptiveDep"
@@ -624,7 +559,6 @@ class AdaptiveDep(_AdaptivePolicy):
         model: GaussianWorldModel,
         min_gain: float = 1e-12,
         conditional: bool = True,
-        incremental: bool = True,
     ):
         if not function.is_linear():
             raise TypeError("AdaptiveDep requires a linear query function")
@@ -632,7 +566,6 @@ class AdaptiveDep(_AdaptivePolicy):
         self.model = model
         self.min_gain = min_gain
         self.conditional = bool(conditional)
-        self.incremental = bool(incremental)
         self._prepared = None
 
     def run(
@@ -642,8 +575,6 @@ class AdaptiveDep(_AdaptivePolicy):
         oracle: RevealOracle,
     ) -> AdaptiveRun:
         """Execute the adaptive loop: reveal, update beliefs, re-plan (see class docs)."""
-        if not self.incremental:
-            return self._run_scratch(database, budget, oracle)
         n = len(database)
         costs = database.costs
         weights = self.function.weights(n)
@@ -690,64 +621,6 @@ class AdaptiveDep(_AdaptivePolicy):
             # re-scores all of them — one vectorized pass on the engine.
             gains = engine.gains()
             ratios = np.where(feasible, gains / costs, -np.inf)
-
-    # -- retained scratch twin ---------------------------------------------- #
-    def _variance_after_scratch(self, weights: np.ndarray, cleaned: Sequence[int]) -> float:
-        if self.conditional:
-            return self.model.post_cleaning_variance(weights, cleaned)
-        n = self.model.size
-        cleaned_set = set(int(i) for i in cleaned)
-        remaining = [i for i in range(n) if i not in cleaned_set]
-        w = weights[remaining]
-        sub = self.model.covariance[np.ix_(remaining, remaining)]
-        return float(w @ sub @ w)
-
-    def _run_scratch(
-        self, database: UncertainDatabase, budget: float, oracle: RevealOracle
-    ) -> AdaptiveRun:
-        """Teardown loop: one Schur complement per candidate per step."""
-        n = len(database)
-        costs = database.costs
-        weights = self.function.weights(n)
-        run = AdaptiveRun()
-        spent = 0.0
-        cleaned: List[int] = []
-
-        while True:
-            current = self._variance_after_scratch(weights, cleaned)
-            candidates = [
-                i
-                for i in range(n)
-                if i not in cleaned and spent + costs[i] <= budget + 1e-9
-            ]
-            if not candidates:
-                run.final_objective = current
-                return run
-            gains = {
-                i: current - self._variance_after_scratch(weights, cleaned + [i])
-                for i in candidates
-            }
-            best = max(candidates, key=lambda i: gains[i] / costs[i])
-            if gains[best] <= self.min_gain:
-                run.final_objective = current
-                run.stopped_early = True
-                return run
-
-            revealed = oracle(best)
-            cleaned.append(best)
-            spent += costs[best]
-            after = self._variance_after_scratch(weights, cleaned)
-            run.steps.append(
-                AdaptiveStep(
-                    index=best,
-                    revealed_value=float(revealed),
-                    cost=float(costs[best]),
-                    objective_before=current,
-                    objective_after=after,
-                )
-            )
-            run.total_cost = spent
-            run.final_objective = after
 
 
 @dataclass

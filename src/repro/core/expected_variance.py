@@ -20,19 +20,16 @@ For affine query functions with uncorrelated errors the closed form
 ``EV(T) = sum_{i not in T} a_i^2 Var[X_i]`` (Lemma 3.1) is exposed as
 :func:`linear_expected_variance`.
 
-Every strategy has a *vectorized* kernel operating on batched ``(worlds, n)``
-arrays (``joint_support_arrays`` worlds, ``evaluate_batch`` claim evaluation,
-array-based pmf convolution) and a retained scalar path (``vectorized=False``
-or the ``*_scalar`` twins) that walks per-world Python dicts exactly as the
-original implementation did.  The scalar path is the reference the randomized
-equivalence tests pit the kernels against; the vectorized path is what the
-greedy loops run and is what makes paper-scale instances (Figure 10,
-n = 10,000+) tractable.
+Every strategy runs on batched ``(worlds, n)`` arrays (``joint_support_arrays``
+worlds, ``evaluate_batch`` claim evaluation, array-based pmf convolution),
+which is what makes paper-scale instances (Figure 10, n = 10,000+) tractable.
+The scalar loops that walk per-world Python dicts, as the original
+implementation did, live with the tests as the reference the randomized
+equivalence suites pit these kernels against.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +46,6 @@ __all__ = [
     "linear_expected_variance",
     "weighted_sum_pmf",
     "weighted_sum_pmf_arrays",
-    "weighted_sum_pmf_scalar",
     "iter_value_blocks",
     "measure_mean",
     "DecomposedEVCalculator",
@@ -101,32 +97,6 @@ def weighted_sum_pmf(
     return list(zip(values.tolist(), probabilities.tolist()))
 
 
-def weighted_sum_pmf_scalar(
-    database: UncertainDatabase,
-    indices: Sequence[int],
-    weights: Mapping[int, float],
-    offset: float = 0.0,
-) -> List[Tuple[float, float]]:
-    """Reference dict-based convolution (the retained scalar path).
-
-    Semantically identical to :func:`weighted_sum_pmf`; kept as the ground
-    truth for the randomized kernel-equivalence tests.
-    """
-    pmf: Dict[float, float] = {float(offset): 1.0}
-    for index in indices:
-        distribution = database[index].distribution
-        if not isinstance(distribution, DiscreteDistributionType):
-            raise TypeError("weighted_sum_pmf requires discrete distributions")
-        weight = float(weights.get(index, 0.0))
-        next_pmf: Dict[float, float] = {}
-        for partial, p in pmf.items():
-            for value, q in zip(distribution.values, distribution.probabilities):
-                key = partial + weight * float(value)
-                next_pmf[key] = next_pmf.get(key, 0.0) + p * q
-        pmf = next_pmf
-    return sorted(pmf.items())
-
-
 # Shared trivial pmf (the empty-axes outer product); read-only.
 _SINGLETON_PROBABILITY = np.ones(1, dtype=float)
 _SINGLETON_PROBABILITY.setflags(write=False)
@@ -162,38 +132,10 @@ def iter_value_blocks(
 # --------------------------------------------------------------------------- #
 # Exact (brute force) computation
 # --------------------------------------------------------------------------- #
-def _conditional_moments(
-    database: UncertainDatabase,
-    function: ClaimFunction,
-    free_indices: Sequence[int],
-    fixed_assignment: Mapping[int, float],
-    base_values: np.ndarray,
-) -> Tuple[float, float]:
-    """First and second moments of ``function`` with ``free_indices`` random.
-
-    ``fixed_assignment`` pins the cleaned objects; objects outside both sets
-    keep ``base_values`` (they are never referenced by ``function`` when the
-    caller restricts to the referenced set, so their value is irrelevant).
-    """
-    first = 0.0
-    second = 0.0
-    for assignment, probability in database.enumerate_joint_support(free_indices):
-        values = np.array(base_values, copy=True)
-        for index, value in fixed_assignment.items():
-            values[index] = value
-        for index, value in assignment.items():
-            values[index] = value
-        result = function.evaluate(values)
-        first += probability * result
-        second += probability * result * result
-    return first, second
-
-
 def expected_variance_exact(
     database: UncertainDatabase,
     function: ClaimFunction,
     cleaned: Iterable[int],
-    vectorized: bool = True,
 ) -> float:
     """Exact EV(T) by enumerating the joint support of the referenced objects.
 
@@ -202,9 +144,8 @@ def expected_variance_exact(
     objects, so this is only suitable for small instances and for validating
     the decomposed / Monte-Carlo computations.
 
-    The default path batches the free worlds into one ``(worlds, n)`` matrix
-    per cleaning outcome and evaluates the claim with ``evaluate_batch``;
-    ``vectorized=False`` runs the retained per-world scalar loop instead.
+    The free worlds are batched into one ``(worlds, n)`` matrix per cleaning
+    outcome and the claim is evaluated with ``evaluate_batch``.
     """
     cleaned_set = frozenset(int(i) for i in cleaned)
     referenced = function.referenced_indices
@@ -212,16 +153,6 @@ def expected_variance_exact(
 
     cleaned_referenced = sorted(cleaned_set & referenced)
     free_referenced = sorted(referenced - cleaned_set)
-
-    if not vectorized:
-        expected = 0.0
-        for assignment, probability in database.enumerate_joint_support(cleaned_referenced):
-            first, second = _conditional_moments(
-                database, function, free_referenced, assignment, base_values
-            )
-            variance = max(second - first * first, 0.0)
-            expected += probability * variance
-        return float(expected)
 
     cleaned_worlds, cleaned_probs = database.joint_support_arrays(cleaned_referenced)
     free_worlds, free_probs = database.joint_support_arrays(free_referenced)
@@ -247,7 +178,6 @@ def expected_variance_monte_carlo(
     rng: np.random.Generator,
     outer_samples: int = 200,
     inner_samples: int = 200,
-    vectorized: bool = True,
 ) -> float:
     """Monte-Carlo estimate of EV(T).
 
@@ -259,9 +189,7 @@ def expected_variance_monte_carlo(
     ``(inner_samples, n)`` matrix gets the cleaning outcome broadcast into the
     cleaned columns and a vectorized ``distribution.sample(rng, size)`` draw
     per free column, then one ``evaluate_batch`` call produces every inner
-    draw at once — no per-sample value-vector copies.  ``vectorized=False``
-    evaluates the identical sample matrix row by row (same RNG stream, so
-    fixed seeds give matching estimates), as the retained scalar reference.
+    draw at once — no per-sample value-vector copies.
     """
     cleaned_list = sorted(set(int(i) for i in cleaned))
     referenced = sorted(function.referenced_indices)
@@ -277,14 +205,7 @@ def expected_variance_monte_carlo(
             matrix[:, index] = database[index].sample(rng)
         for index in free:
             matrix[:, index] = database[index].sample(rng, size=inner_samples)
-        if vectorized:
-            draws = function.evaluate_batch(matrix)
-        else:
-            draws = np.fromiter(
-                (function.evaluate(row) for row in matrix),
-                dtype=float,
-                count=inner_samples,
-            )
+        draws = function.evaluate_batch(matrix)
         total += float(np.var(draws))
     return total / outer_samples
 
@@ -328,19 +249,12 @@ class DecomposedEVCalculator:
     the independence assumption and contribute zero covariance; they are
     skipped entirely.
 
-    Every piece has two implementations selected by ``vectorized`` (default
-    True): the batched-array kernels (array pmf convolution for linear-claim
-    terms, ``joint_support_arrays`` + ``evaluate_batch`` grids for generic
-    terms and pairs) and the retained scalar loops, kept bit-compatible in
-    semantics for the randomized equivalence tests.
+    Every piece runs on batched-array kernels: array pmf convolution for
+    linear-claim terms, ``joint_support_arrays`` + ``evaluate_batch`` grids
+    for generic terms and pairs.
     """
 
-    def __init__(
-        self,
-        database: UncertainDatabase,
-        measure: ClaimQualityMeasure,
-        vectorized: bool = True,
-    ):
+    def __init__(self, database: UncertainDatabase, measure: ClaimQualityMeasure):
         if not isinstance(measure, ClaimQualityMeasure):
             raise TypeError(
                 "the decomposed EV computation needs a claim-quality measure "
@@ -354,7 +268,6 @@ class DecomposedEVCalculator:
             )
         self.database = database
         self.measure = measure
-        self.vectorized = bool(vectorized)
         self.terms: List[QualityTerm] = measure.terms
         self._base_values = database.current_values
         # Pairs of terms that can ever be correlated (shared referenced objects).
@@ -492,9 +405,6 @@ class DecomposedEVCalculator:
         too large to materialize use the array pmf-convolution kernel instead,
         which merges equal sums as it goes.
         """
-        if not self.vectorized:
-            return self._linear_term_expected_variance_scalar(term, cleaned, free)
-
         grid_entry = self._linear_term_grid(k)
         if grid_entry is not None:
             g, g_squared, position, probabilities, g_flat, g_sq_flat, joint_probs = grid_entry
@@ -535,27 +445,6 @@ class DecomposedEVCalculator:
         conditional = np.maximum(second - first * first, 0.0)
         return float(cleaned_probs @ conditional)
 
-    def _linear_term_expected_variance_scalar(
-        self, term: QualityTerm, cleaned: Sequence[int], free: Sequence[int]
-    ) -> float:
-        """Retained scalar double loop over the two pmfs (reference path)."""
-        weights = term.claim.sparse_weights
-        offset = term.claim.intercept()
-        cleaned_pmf = weighted_sum_pmf(self.database, cleaned, weights, offset=offset)
-        free_pmf = weighted_sum_pmf(self.database, free, weights, offset=0.0)
-        transform = term.transform
-
-        total = 0.0
-        for cleaned_value, cleaned_probability in cleaned_pmf:
-            first = 0.0
-            second = 0.0
-            for free_value, free_probability in free_pmf:
-                g = transform(cleaned_value + free_value)
-                first += free_probability * g
-                second += free_probability * g * g
-            total += cleaned_probability * max(second - first * first, 0.0)
-        return total
-
     def _generic_term_expected_variance(
         self, term: QualityTerm, cleaned: Sequence[int], free: Sequence[int]
     ) -> float:
@@ -566,8 +455,6 @@ class DecomposedEVCalculator:
         evaluated with ``evaluate_batch`` — a per-row loop only for terms
         without batchable structure.
         """
-        if not self.vectorized:
-            return self._generic_term_expected_variance_scalar(term, cleaned, free)
         cleaned = list(cleaned)
         free = list(free)
         cleaned_worlds, cleaned_probs = self.database.joint_support_arrays(cleaned)
@@ -587,26 +474,6 @@ class DecomposedEVCalculator:
         conditional = np.maximum(second - first * first, 0.0)
         return float(cleaned_probs @ conditional)
 
-    def _generic_term_expected_variance_scalar(
-        self, term: QualityTerm, cleaned: Sequence[int], free: Sequence[int]
-    ) -> float:
-        """Retained scalar enumeration of full value vectors (reference path)."""
-        total = 0.0
-        for assignment, probability in self.database.enumerate_joint_support(cleaned):
-            first = 0.0
-            second = 0.0
-            for free_assignment, free_probability in self.database.enumerate_joint_support(free):
-                values = np.array(self._base_values, copy=True)
-                for index, value in assignment.items():
-                    values[index] = value
-                for index, value in free_assignment.items():
-                    values[index] = value
-                g = term(values)
-                first += free_probability * g
-                second += free_probability * g * g
-            total += probability * max(second - first * first, 0.0)
-        return total
-
     # -- pairwise pieces ---------------------------------------------------- #
     def _pair_expected_covariance(self, k: int, l: int, cleaned: FrozenSet[int]) -> float:
         """``E_T[ Cov[g_k, g_l | X_{T ∩ (R_k ∪ R_l)}] ]`` for an interacting pair."""
@@ -622,14 +489,7 @@ class DecomposedEVCalculator:
 
         free = sorted(union - relevant_cleaned)
         cleaned_sorted = sorted(relevant_cleaned)
-        if self.vectorized:
-            total = self._pair_expected_covariance_batched(
-                term_k, term_l, cleaned_sorted, free
-            )
-        else:
-            total = self._pair_expected_covariance_scalar(
-                term_k, term_l, cleaned_sorted, free
-            )
+        total = self._pair_expected_covariance_batched(term_k, term_l, cleaned_sorted, free)
         cache[relevant_cleaned] = total
         return total
 
@@ -655,29 +515,6 @@ class DecomposedEVCalculator:
                 mean_l[c] += gl @ block_probs
                 mean_kl[c] += (gk * gl) @ block_probs
         return float(cleaned_probs @ (mean_kl - mean_k * mean_l))
-
-    def _pair_expected_covariance_scalar(
-        self, term_k: QualityTerm, term_l: QualityTerm, cleaned: List[int], free: List[int]
-    ) -> float:
-        """Retained scalar enumeration (reference path)."""
-        total = 0.0
-        for assignment, probability in self.database.enumerate_joint_support(cleaned):
-            mean_k = 0.0
-            mean_l = 0.0
-            mean_kl = 0.0
-            for free_assignment, free_probability in self.database.enumerate_joint_support(free):
-                values = np.array(self._base_values, copy=True)
-                for index, value in assignment.items():
-                    values[index] = value
-                for index, value in free_assignment.items():
-                    values[index] = value
-                gk = term_k(values)
-                gl = term_l(values)
-                mean_k += free_probability * gk
-                mean_l += free_probability * gl
-                mean_kl += free_probability * gk * gl
-            total += probability * (mean_kl - mean_k * mean_l)
-        return total
 
     # -- public API ---------------------------------------------------------- #
     def expected_variance(self, cleaned: Iterable[int]) -> float:
@@ -764,10 +601,9 @@ class DecomposedEVCalculator:
         existing term, so their standalone gains are zero until the measure
         itself changes.
         """
-        other = object.__new__(DecomposedEVCalculator)
+        other = object.__new__(type(self))
         other.database = database
         other.measure = self.measure
-        other.vectorized = self.vectorized
         other.terms = self.terms
         other._base_values = database.current_values
         other._interacting_pairs = self._interacting_pairs
@@ -903,9 +739,7 @@ def make_ev_calculator(database: UncertainDatabase, function: ClaimFunction):
 
     The decomposed and exact rows both run the batched-array kernels
     (``joint_support_arrays`` worlds + ``evaluate_batch`` claims, array pmf
-    convolution for linear-claim terms); pass ``vectorized=False`` to
-    :class:`DecomposedEVCalculator` / :func:`expected_variance_exact` directly
-    for the retained scalar reference paths.  Exact enumeration is exponential
+    convolution for linear-claim terms).  Exact enumeration is exponential
     in the referenced set, so it only suits small instances.
     """
     strategy = ev_strategy(database, function)

@@ -955,11 +955,10 @@ class GreedyDep(ResumableSolver):
     (statistically exact) or the marginal variance of the objects left
     unclean (the formulation the paper's Theorem 3.9 derivation uses).
 
-    The default path (``incremental=True``) runs on the model's conditioning
-    engine: one rank-one downdate plus one vectorized gains pass per step.
-    For dense models that is the
-    :class:`~repro.uncertainty.correlation.ConditionalGaussian` (O(n^2) per
-    step); for models built with
+    Selection runs on the model's conditioning engine: one rank-one
+    downdate plus one vectorized gains pass per step.  For dense models that
+    is the :class:`~repro.uncertainty.correlation.ConditionalGaussian`
+    (O(n^2) per step); for models built with
     :meth:`GaussianWorldModel.from_structure
     <repro.uncertainty.correlation.GaussianWorldModel.from_structure>` the
     dispatch in ``model.engine`` hands back the matching structured engine
@@ -967,17 +966,11 @@ class GreedyDep(ResumableSolver):
     O(bandwidth^2) / O(block^2) / O(n r) with O(n * bandwidth)-class memory —
     the n = 10^5 dependency runs in BENCH_scale.json go through exactly this
     loop, unchanged.  Both ``conditional`` modes are covered (the marginal
-    mode maintains the same matvec under row/column zeroing).
-    ``incremental=False`` retains the original scratch loop as the reference
-    twin, now with a *per-run* set cache — the old per-frozenset cache grew
-    without bound across a sweep; trace warm-starts recompute the
-    (deterministic) prefix variances instead, so the read-back stays exact.
-    ``lazy=True`` opts the scratch path into CELF-style lazy re-evaluation;
-    it requires ``incremental=False`` explicitly (the engine has no
-    per-candidate evaluations for CELF to skip, and silently downgrading
-    would be a large slowdown).  ``stochastic_epsilon`` samples candidates
-    per step in either path (stochastic greedy; incompatible with ``lazy``)
-    and disables anytime-trace support on the instance.
+    mode maintains the same matvec under row/column zeroing).  The
+    per-candidate Schur-complement loop this engine replaced, with its
+    CELF-lazy variant, is the reference twin the equivalence tests pin it
+    to.  ``stochastic_epsilon`` samples candidates per step (stochastic
+    greedy) and disables anytime-trace support on the instance.
     """
 
     name = "GreedyDep"
@@ -987,29 +980,12 @@ class GreedyDep(ResumableSolver):
         function: ClaimFunction,
         model: GaussianWorldModel,
         conditional: bool = True,
-        incremental: bool = True,
-        lazy: bool = False,
         stochastic_epsilon: Optional[float] = None,
         stochastic_rng: Optional[np.random.Generator] = None,
         warm_engine=None,
     ):
         if not function.is_linear():
             raise TypeError("GreedyDep requires a linear query function")
-        if warm_engine is not None and not incremental:
-            raise ValueError(
-                "warm_engine applies to the incremental engine loop; pass "
-                "incremental=True with it"
-            )
-        if lazy and incremental:
-            raise ValueError(
-                "lazy=True applies to the scratch per-candidate loop; pass "
-                "incremental=False with it (the incremental engine scores all "
-                "candidates in one vectorized pass — there are no per-candidate "
-                "evaluations for CELF to skip, and silently downgrading to the "
-                "scratch loop would be orders of magnitude slower)"
-            )
-        if stochastic_epsilon is not None and lazy:
-            raise ValueError("stochastic_epsilon cannot be combined with lazy evaluation")
         if stochastic_epsilon is not None and stochastic_rng is None:
             raise ValueError(
                 "stochastic_epsilon requires stochastic_rng (seed it per "
@@ -1018,11 +994,9 @@ class GreedyDep(ResumableSolver):
         self.function = function
         self.model = model
         self.conditional = conditional
-        self.incremental = bool(incremental)
-        self.lazy = bool(lazy)
         self.stochastic_epsilon = stochastic_epsilon
         self.stochastic_rng = stochastic_rng
-        #: Optional pre-conditioned engine the incremental loop clones
+        #: Optional pre-conditioned engine the selection loop clones
         #: instead of building one from the model: the streaming planner's
         #: warm-start hook.  The caller guarantees the engine carries the
         #: same weights and ``conditional`` mode as this solver and is
@@ -1033,26 +1007,11 @@ class GreedyDep(ResumableSolver):
         if stochastic_epsilon is not None:
             self.supports_trace = False
             self.sweep_with_trace = False
-        #: Scalar benefit evaluations spent by the most recent scratch run
-        #: (None before any run and after incremental runs, which score all
-        #: candidates in one vectorized pass instead).
-        self.last_benefit_evaluations: Optional[int] = None
 
     def reset_cache(self) -> None:
         """Kept for API compatibility: there is no longer a cross-run cache."""
 
     def _run(
-        self,
-        database: UncertainDatabase,
-        budget: float,
-        initial_selection: Optional[Sequence[int]] = None,
-        record_steps: Optional[List[SelectionStep]] = None,
-    ) -> List[int]:
-        if self.incremental:
-            return self._run_incremental(database, budget, initial_selection, record_steps)
-        return self._run_scratch(database, budget, initial_selection, record_steps)
-
-    def _run_incremental(
         self,
         database: UncertainDatabase,
         budget: float,
@@ -1075,7 +1034,6 @@ class GreedyDep(ResumableSolver):
         else:
             weights = self.function.weights(n)
             engine = self.model.engine(weights, conditional=self.conditional)
-        self.last_benefit_evaluations = None
         sample_size = None
         if self.stochastic_epsilon is not None:
             sample_size = stochastic_sample_size(
@@ -1139,56 +1097,4 @@ class GreedyDep(ResumableSolver):
             chosen_total = float(standalone_gains[selected].sum()) if selected else 0.0
             if standalone_gains[best_single] > chosen_total:
                 return [best_single]
-        return selected
-
-    def _run_scratch(
-        self,
-        database: UncertainDatabase,
-        budget: float,
-        initial_selection: Optional[Sequence[int]] = None,
-        record_steps: Optional[List[SelectionStep]] = None,
-    ) -> List[int]:
-        """The original per-candidate Schur-complement loop (reference twin)."""
-        weights = self.function.weights(len(database))
-        n = len(database)
-        # Per-run cache: bounded by the sets this one selection visits, so a
-        # sweep no longer accumulates every frozenset it ever evaluated.
-        cache: dict = {}
-        evaluations = 0
-
-        def variance_after(indices: Tuple[int, ...]) -> float:
-            key = frozenset(indices)
-            if key not in cache:
-                if self.conditional:
-                    cache[key] = self.model.post_cleaning_variance(weights, list(key))
-                else:
-                    remaining = [i for i in range(n) if i not in key]
-                    w = weights[remaining]
-                    sub = self.model.covariance[np.ix_(remaining, remaining)]
-                    cache[key] = float(w @ sub @ w)
-            return cache[key]
-
-        def benefit(current: Sequence[int], index: int) -> float:
-            nonlocal evaluations
-            evaluations += 1
-            current_tuple = tuple(current)
-            return variance_after(current_tuple) - variance_after(current_tuple + (index,))
-
-        sample_size = None
-        if self.stochastic_epsilon is not None:
-            sample_size = stochastic_sample_size(
-                n, expected_selection_steps(database.costs, budget), self.stochastic_epsilon
-            )
-        selected = greedy_select(
-            database,
-            budget,
-            benefit,
-            adaptive=True,
-            lazy=self.lazy,
-            sample_size=sample_size,
-            sample_rng=self.stochastic_rng,
-            initial_selection=initial_selection,
-            record_steps=record_steps,
-        )
-        self.last_benefit_evaluations = evaluations
         return selected

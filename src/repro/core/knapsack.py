@@ -80,17 +80,13 @@ def solve_knapsack_dp(
     costs: Sequence[float],
     budget: float,
     resolution: int = 2000,
-    vectorized: bool = True,
 ) -> KnapsackSolution:
     """Exact 0/1 maximum knapsack via dynamic programming over cost.
 
     ``resolution`` bounds the size of the cost grid for non-integer costs;
-    integer costs within the resolution are handled exactly.  The default
-    path updates the whole capacity row per item with numpy rolling arrays
-    (one shifted add, one comparison, one where); ``vectorized=False`` walks
-    the capacities one by one in Python — the retained scalar reference the
-    equivalence tests pin the kernel against.  Both make identical
-    improvement decisions, so reconstruction is exact either way.
+    integer costs within the resolution are handled exactly.  Each item
+    updates the whole capacity row with numpy rolling arrays (one shifted
+    add, one comparison, one where).
     """
     values, costs = _validate(values, costs)
     n = values.size
@@ -109,21 +105,12 @@ def solve_knapsack_dp(
         if cost_i > capacity:
             continue
         value_i = values[i]
-        if vectorized:
-            # The shifted slice reads the pre-item row (a snapshot), which is
-            # what the descending scalar loop reads too: each item is used at
-            # most once.
-            candidate = best[: capacity - cost_i + 1] + value_i
-            improved = candidate > best[cost_i:] + 1e-15
-            choice[i, cost_i:] = improved
-            best[cost_i:] = np.where(improved, candidate, best[cost_i:])
-        else:
-            # iterate capacities descending so each item is used at most once
-            for c in range(capacity, cost_i - 1, -1):
-                candidate_value = best[c - cost_i] + value_i
-                if candidate_value > best[c] + 1e-15:
-                    best[c] = candidate_value
-                    choice[i, c] = True
+        # The shifted slice reads the pre-item row (a snapshot), so each item
+        # is used at most once.
+        candidate = best[: capacity - cost_i + 1] + value_i
+        improved = candidate > best[cost_i:] + 1e-15
+        choice[i, cost_i:] = improved
+        best[cost_i:] = np.where(improved, candidate, best[cost_i:])
 
     # Trace back the selected set from the full-capacity cell.
     selected: List[int] = []
@@ -144,19 +131,15 @@ def solve_knapsack_fptas(
     costs: Sequence[float],
     budget: float,
     epsilon: float = 0.1,
-    vectorized: bool = True,
 ) -> KnapsackSolution:
     """(1 - epsilon)-approximate maximum knapsack via value scaling.
 
     Classical FPTAS: scale values so the largest becomes ``n / epsilon``, run
     the value-indexed dynamic program, and map back.  Runs in ``O(n^3 / eps)``.
-    The default path updates the whole scaled-value row per item with numpy
-    rolling arrays and records each item's improved positions as a packed
-    bitset (``value_cap / 8`` bytes per item — improvement sets are dense in
-    practice, where index arrays and the scalar path's dicts both balloon);
-    ``vectorized=False`` is the retained per-value Python loop with
-    dict-based parents.  Both make identical improvement decisions, so the
-    reconstructed selections agree exactly.
+    Each item updates the whole scaled-value row with numpy rolling arrays
+    and records its improved positions as a packed bitset (``value_cap / 8``
+    bytes per item — improvement sets are dense in practice, where index
+    arrays or per-item dicts balloon).
     """
     if epsilon <= 0 or epsilon >= 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -178,44 +161,29 @@ def solve_knapsack_fptas(
     # min_cost[v] = minimum cost achieving scaled value exactly v
     min_cost = np.full(value_cap + 1, INF)
     min_cost[0] = 0.0
-    if vectorized:
-        improved_bits: List[Optional[np.ndarray]] = [None] * n
-        bit_offsets = np.zeros(n, dtype=np.intp)
-        for i in range(n):
-            if not feasible[i] or scaled[i] <= 0:
-                continue
-            vi, ci = int(scaled[i]), float(costs[i])
-            # As in the cost DP: the shifted slice is the pre-item row, which
-            # the descending scalar loop reads too (each item used once).
-            candidate = min_cost[: value_cap + 1 - vi] + ci
-            improved = candidate < min_cost[vi:] - 1e-15
-            improved_bits[i] = np.packbits(improved)
-            bit_offsets[i] = vi
-            min_cost[vi:] = np.where(improved, candidate, min_cost[vi:])
+    improved_bits: List[Optional[np.ndarray]] = [None] * n
+    bit_offsets = np.zeros(n, dtype=np.intp)
+    for i in range(n):
+        if not feasible[i] or scaled[i] <= 0:
+            continue
+        vi, ci = int(scaled[i]), float(costs[i])
+        # As in the cost DP: the shifted slice is the pre-item row, so each
+        # item is used at most once.
+        candidate = min_cost[: value_cap + 1 - vi] + ci
+        improved = candidate < min_cost[vi:] - 1e-15
+        improved_bits[i] = np.packbits(improved)
+        bit_offsets[i] = vi
+        min_cost[vi:] = np.where(improved, candidate, min_cost[vi:])
 
-        def took(item: int, v: int) -> bool:
-            bits = improved_bits[item]
-            if bits is None:
-                return False
-            position = v - int(bit_offsets[item])
-            if position < 0:
-                return False
-            # packbits is MSB-first within each byte.
-            return bool((int(bits[position >> 3]) >> (7 - (position & 7))) & 1)
-
-    else:
-        parent: List[dict] = [dict() for _ in range(n)]
-        for i in range(n):
-            if not feasible[i] or scaled[i] <= 0:
-                continue
-            vi, ci = int(scaled[i]), float(costs[i])
-            for v in range(value_cap, vi - 1, -1):
-                if min_cost[v - vi] + ci < min_cost[v] - 1e-15:
-                    min_cost[v] = min_cost[v - vi] + ci
-                    parent[i][v] = True
-
-        def took(item: int, v: int) -> bool:
-            return bool(parent[item].get(v))
+    def took(item: int, v: int) -> bool:
+        bits = improved_bits[item]
+        if bits is None:
+            return False
+        position = v - int(bit_offsets[item])
+        if position < 0:
+            return False
+        # packbits is MSB-first within each byte.
+        return bool((int(bits[position >> 3]) >> (7 - (position & 7))) & 1)
 
     best_v = 0
     reachable = np.flatnonzero(min_cost <= budget + 1e-9)

@@ -51,17 +51,14 @@ def surprise_probability_exact(
     cleaned: Iterable[int],
     tau: float = 0.0,
     baseline: Optional[float] = None,
-    vectorized: bool = True,
 ) -> float:
     """Exact MaxPr objective by enumerating the cleaning outcomes of ``T``.
 
     Only the cleaned objects are random; everything else stays at its current
     value, so the enumeration is over ``V_T`` alone (restricted further to the
     objects the query function references — cleaned objects the function
-    ignores cannot change ``f``).  The default path evaluates the joint
-    support in batched ``(worlds, n)`` blocks with ``evaluate_batch``;
-    ``vectorized=False`` walks the worlds one dict at a time (the retained
-    scalar reference).
+    ignores cannot change ``f``).  The joint support is evaluated in batched
+    ``(worlds, n)`` blocks with ``evaluate_batch``.
     """
     cleaned_set = sorted(set(int(i) for i in cleaned))
     if not cleaned_set:
@@ -72,14 +69,6 @@ def surprise_probability_exact(
     relevant = [i for i in cleaned_set if i in function.referenced_indices]
     if not relevant:
         return 0.0
-
-    if not vectorized:
-        probability = 0.0
-        for assignment, p in database.enumerate_joint_support(relevant):
-            values = database.values_with_assignment(assignment)
-            if function.evaluate(values) < target - 1e-12:
-                probability += p
-        return float(probability)
 
     worlds, probabilities = database.joint_support_arrays(relevant)
     probability = 0.0
@@ -101,16 +90,13 @@ def surprise_probability_monte_carlo(
     tau: float = 0.0,
     samples: int = 2000,
     baseline: Optional[float] = None,
-    vectorized: bool = True,
 ) -> float:
     """Monte-Carlo estimate of the MaxPr objective.
 
     Draws every cleaning outcome in one vectorized
     ``distribution.sample(rng, size=samples)`` call per cleaned column and
     evaluates the whole ``(samples, n)`` matrix with one ``evaluate_batch``
-    call.  ``vectorized=False`` evaluates the identical sample matrix row by
-    row (same RNG stream, so fixed seeds match), as the retained scalar
-    reference.
+    call.
     """
     cleaned_set = sorted(set(int(i) for i in cleaned))
     if not cleaned_set:
@@ -121,12 +107,7 @@ def surprise_probability_monte_carlo(
     matrix = np.tile(current, (samples, 1))
     for index in cleaned_set:
         matrix[:, index] = database[index].sample(rng, size=samples)
-    if vectorized:
-        results = function.evaluate_batch(matrix)
-    else:
-        results = np.fromiter(
-            (function.evaluate(row) for row in matrix), dtype=float, count=samples
-        )
+    results = function.evaluate_batch(matrix)
     return float(np.count_nonzero(results < target - 1e-12)) / samples
 
 

@@ -8,9 +8,9 @@ Public surface::
         ...  # engines route downdates/gains/convolutions through the
              # compiled backend (numba if importable, else cffi + cc)
 
-Tiers: ``scalar`` (pure-Python reference), ``numpy`` (default, the original
-inline expressions), ``compiled`` (numba or cffi/C; warns once and behaves
-like numpy when neither backend is available).  Environment variables
+Tiers: ``numpy`` (default, the original inline expressions) and ``compiled``
+(numba or cffi/C; warns once and behaves like numpy when neither backend is
+available).  Environment variables
 ``REPRO_KERNEL``, ``REPRO_KERNEL_DTYPE``, ``REPRO_KERNEL_BACKEND`` and
 ``REPRO_KERNEL_CACHE`` configure tier, working precision, compiled-backend
 preference and the compilation cache directory.

@@ -4,8 +4,6 @@ Every hot numeric loop in the engines routes through this module's
 module-level functions (:func:`outer_downdate` and friends).  Which
 implementation actually runs is a process-wide *tier*:
 
-``scalar``
-    Pure-Python reference loops (ground truth for equivalence tests).
 ``numpy``
     The vectorized expressions the engines used inline before this layer
     existed — the default, and bit-identical to the pre-dispatch code.
@@ -14,6 +12,9 @@ implementation actually runs is a process-wide *tier*:
     compiled with the system compiler via cffi.  If neither backend works
     the tier silently *behaves* like numpy after emitting one warning —
     selections never change, only speed.
+
+The pure-Python loops both tiers are checked against live with the tests,
+not here: no production configuration selects them.
 
 The tier comes from ``REPRO_KERNEL`` at import time and can be changed with
 :func:`set_kernel_tier` or scoped with the :func:`kernel_tier` context
@@ -34,7 +35,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import numpy_impl, scalar_impl
+from repro.kernels import numpy_impl
 from repro.resilience.degradation import record_degradation
 from repro.resilience.faults import KernelBackendFault, faults_active, maybe_inject
 
@@ -59,7 +60,7 @@ __all__ = [
     "marginal_gains",
 ]
 
-TIERS = ("scalar", "numpy", "compiled")
+TIERS = ("numpy", "compiled")
 
 _KERNEL_NAMES = (
     "outer_downdate",
@@ -70,9 +71,6 @@ _KERNEL_NAMES = (
     "marginal_gains",
 )
 
-_SCALAR_TABLE: Dict[str, Callable] = {
-    name: getattr(scalar_impl, name) for name in _KERNEL_NAMES
-}
 _NUMPY_TABLE: Dict[str, Callable] = {
     name: getattr(numpy_impl, name) for name in _KERNEL_NAMES
 }
@@ -106,9 +104,6 @@ def _activate(tier: str) -> None:
     """
     global _ACTIVE, _TIER, _EFFECTIVE_TIER, _WARNED_FALLBACK
     _TIER = tier
-    if tier == "scalar":
-        _ACTIVE, _EFFECTIVE_TIER = dict(_SCALAR_TABLE), "scalar"
-        return
     if tier == "numpy":
         _ACTIVE, _EFFECTIVE_TIER = dict(_NUMPY_TABLE), "numpy"
         return
@@ -129,7 +124,7 @@ def _activate(tier: str) -> None:
 
 
 def set_kernel_tier(tier: str) -> None:
-    """Select the process-wide kernel tier (``scalar``/``numpy``/``compiled``)."""
+    """Select the process-wide kernel tier (``numpy``/``compiled``)."""
     _activate(_validate_tier(tier))
 
 

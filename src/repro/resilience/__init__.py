@@ -4,8 +4,8 @@ The resilience layer has three pieces, each usable on its own:
 
 * :mod:`repro.resilience.faults` — a deterministic, seeded
   :class:`~repro.resilience.faults.FaultPlan` injected at named sites
-  (kernel backends, pool workers, store I/O, journal writes, stream
-  events), installable per scope or through the ``REPRO_FAULTS``
+  (kernel backends, pool workers, store I/O, stream events, HTTP
+  handlers), installable per scope or through the ``REPRO_FAULTS``
   environment variable;
 * :mod:`repro.resilience.retry` — the bounded, jittered, counted
   :func:`~repro.resilience.retry.retry_call` loop the store and the pool
@@ -45,7 +45,6 @@ from repro.resilience.faults import (
     install_fault_plan,
     maybe_corrupt_event,
     maybe_inject,
-    maybe_torn_write,
 )
 from repro.resilience.retry import BackoffPolicy, retry_call
 
@@ -70,7 +69,6 @@ __all__ = [
     "install_fault_plan",
     "maybe_corrupt_event",
     "maybe_inject",
-    "maybe_torn_write",
     "record_degradation",
     "reset_global_degradations",
     "retry_call",

@@ -10,7 +10,6 @@ compiled → numpy kernel   :mod:`repro.kernels.dispatch`
 warm → cold re-solve      :class:`repro.streaming.planner.StreamingPlanner`
 pool → serial execution   :mod:`repro.experiments.sweeps` / ``matrix``
 store retry → give up     :mod:`repro.store.sqlite_store`
-torn journal → truncate   :meth:`repro.streaming.events.Journal.from_jsonl`
 ========================  ==========================================
 
 Historically these fallbacks emitted a ``RuntimeWarning`` and nothing else —

@@ -21,10 +21,6 @@ Injection sites and the fault each raises / applies:
     A transient ``sqlite3.OperationalError("database is locked")``
     (:exc:`TransientStoreFault`) before a store statement — absorbed by the
     store's bounded retry loop.
-``journal``
-    A *torn write*: :func:`maybe_torn_write` truncates the JSONL line midway
-    — exercised against :meth:`~repro.streaming.events.Journal.from_jsonl`'s
-    recovery mode.
 ``event``
     A NaN cost / value injected into a stream event just before it is
     applied (:func:`maybe_corrupt_event`) — the planner's validation rejects
@@ -58,7 +54,7 @@ import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional
 
 from repro.resilience.degradation import record_degradation
 
@@ -79,11 +75,10 @@ __all__ = [
     "install_fault_plan",
     "maybe_corrupt_event",
     "maybe_inject",
-    "maybe_torn_write",
 ]
 
 #: The injection sites the codebase is instrumented with.
-FAULT_SITES = ("kernel", "pool", "store", "journal", "event", "store-read", "http")
+FAULT_SITES = ("kernel", "pool", "store", "event", "store-read", "http")
 
 
 class InjectedFault(RuntimeError):
@@ -309,9 +304,8 @@ def fault_scope(plan: FaultPlan) -> Iterator[None]:
 def maybe_inject(site: str) -> None:
     """Raise the site's fault when the active plan schedules one.
 
-    No-op without an installed plan.  Sites ``journal`` and ``event`` do not
-    raise — they corrupt data instead — so use :func:`maybe_torn_write` /
-    :func:`maybe_corrupt_event` for those.
+    No-op without an installed plan.  Site ``event`` does not raise — it
+    corrupts data instead — so use :func:`maybe_corrupt_event` for it.
     """
     state = _STATE
     if state is None:
@@ -322,23 +316,6 @@ def maybe_inject(site: str) -> None:
         if error is None:
             raise InjectedFault(f"injected fault at site {site!r}")
         raise error() if site in _NO_ARG_SITES else error(f"injected fault at site {site!r}")
-
-
-def maybe_torn_write(text: str) -> Tuple[str, bool]:
-    """Possibly tear a JSONL line (site ``journal``).
-
-    Returns ``(text_to_write, torn)``: when a fault is scheduled, the line is
-    cut roughly in half and loses its newline — the shape a crash mid-write
-    leaves on disk.  Lines too short to tear are passed through.
-    """
-    state = _STATE
-    if state is None or not state.should_fail("journal"):
-        return text, False
-    record_degradation("faults", "injected_journal")
-    stripped = text.rstrip("\n")
-    if len(stripped) < 4:
-        return text, False
-    return stripped[: len(stripped) // 2], True
 
 
 def maybe_corrupt_event(event):

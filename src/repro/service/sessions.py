@@ -182,6 +182,8 @@ class SessionConfig:
         merged = dict(payload)
         if "budget" in merged:
             merged["budget"] = require_number(merged, "budget")
+        if not isinstance(merged.get("storage_backed", False), bool):
+            raise ServiceError(400, "field 'storage_backed' must be a boolean", "bad_field")
         try:
             return cls(
                 kind=str(merged.get("kind", "linear_normal")),
@@ -190,7 +192,7 @@ class SessionConfig:
                 budget=float(merged.get("budget", 10.0)),
                 gamma=float(merged.get("gamma", 170.0)),
                 window_width=int(merged.get("window_width", 4)),
-                storage_backed=bool(merged.get("storage_backed", False)),
+                storage_backed=merged.get("storage_backed", False),
                 page_size=int(merged.get("page_size", 1024)),
                 checkpoint_every=int(merged.get("checkpoint_every", 10)),
             )

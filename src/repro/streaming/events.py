@@ -19,30 +19,21 @@ solves:
     valid.
 
 Events are frozen dataclasses with a plain-dict wire form
-(:func:`event_to_dict` / :func:`event_from_dict`) and one-line JSONL
-persistence through :class:`Journal`, following the append-only
-journal/resume-state idiom.  :func:`synthesize_journal` draws a
-deterministic mixed event stream from a seeded generator for the replay
-benchmarks.
+(:func:`event_to_dict` / :func:`event_from_dict`) and a one-event-per-line
+JSONL import/export format through :class:`Journal`.
+:func:`synthesize_journal` draws a deterministic mixed event stream from a
+seeded generator for the replay benchmarks.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-try:  # POSIX-only; Windows falls back to unlocked appends.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
 import numpy as np
 
-from repro.resilience.degradation import record_degradation
-from repro.resilience.faults import maybe_torn_write
 from repro.uncertainty.database import UncertainDatabase
 
 __all__ = [
@@ -60,7 +51,7 @@ __all__ = [
 
 
 class JournalCorruptionError(ValueError):
-    """A JSONL journal line failed to parse (torn write, truncation, noise).
+    """A JSONL journal line failed to parse (truncation, noise, a bad edit).
 
     Carries ``line_number`` (1-based) and ``byte_offset`` (the offset of the
     corrupt line's first byte in the file) so the broken region can be
@@ -165,13 +156,13 @@ def event_from_dict(payload: Dict[str, object]) -> StreamEvent:
 
 
 class Journal:
-    """An append-only, replayable sequence of stream events.
+    """A replayable sequence of stream events.
 
     ``metadata`` carries whatever the producer wants replays to know (the
     synthesis seed, the base-database size, ...).  The JSONL form is one
     event per line, preceded by a single ``{"journal": {...}}`` header line
-    when metadata is present — so ``tail -f`` on a live journal shows
-    events, and appending is a pure file append.
+    when metadata is present.  JSONL is the import/export format; the
+    durable event log is the :class:`~repro.store.sqlite_store.PlanStore`.
     """
 
     def __init__(
@@ -212,17 +203,11 @@ class Journal:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
-    def from_jsonl(cls, path: Union[str, Path], recover: bool = False) -> "Journal":
-        """Read a journal previously written by :meth:`to_jsonl` / :meth:`append`.
+    def from_jsonl(cls, path: Union[str, Path]) -> "Journal":
+        """Read a journal previously written by :meth:`to_jsonl`.
 
-        A crash mid-append leaves a *torn* final line (or arbitrary noise
-        after a partial flush).  By default any unparsable line raises
-        :class:`JournalCorruptionError` naming its line number and byte
-        offset.  With ``recover=True`` the journal is instead truncated to
-        the longest valid prefix: everything before the first corrupt line
-        is kept, the rest is dropped with a :class:`RuntimeWarning` and a
-        ``("journal", "truncated")`` degradation counter — the graceful
-        path crash recovery uses.
+        Any unparsable line raises :class:`JournalCorruptionError` naming its
+        line number and byte offset.
         """
         path = Path(path)
         events: List[StreamEvent] = []
@@ -244,53 +229,12 @@ class Journal:
                         continue
                     events.append(event_from_dict(payload))
                 except (ValueError, TypeError, UnicodeDecodeError) as error:
-                    if not recover:
-                        raise JournalCorruptionError(
-                            f"corrupt journal line in {path}: {error}",
-                            line_number,
-                            line_offset,
-                        ) from error
-                    record_degradation("journal", "truncated")
-                    warnings.warn(
-                        f"journal {path} corrupt at line {line_number} "
-                        f"(byte offset {line_offset}): kept the "
-                        f"{len(events)}-event valid prefix, dropped the rest",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    break
+                    raise JournalCorruptionError(
+                        f"corrupt journal line in {path}: {error}",
+                        line_number,
+                        line_offset,
+                    ) from error
         return cls(events, metadata)
-
-    @staticmethod
-    def append(path: Union[str, Path], event: StreamEvent, *, lock: bool = True) -> None:
-        """Append one event to a JSONL journal file.
-
-        The append is guarded by an exclusive ``flock`` on the journal file
-        (when the platform provides :mod:`fcntl`), so concurrent appenders —
-        each with their own file handle — serialize whole lines instead of
-        interleaving partial ones.  Each append is a single buffered write
-        flushed before the lock is released, which keeps the line atomic
-        with respect to other *locked* appenders; pass ``lock=False`` only
-        on paths already serialized by a higher-level writer lock.
-
-        This is also the write the fault harness tears (site ``journal``):
-        under an active :class:`~repro.resilience.faults.FaultPlan` the line
-        may be written half-finished without its newline — exactly the state
-        a crash mid-append leaves — which :meth:`from_jsonl`'s recovery mode
-        must absorb.
-        """
-        line = json.dumps(event_to_dict(event), sort_keys=True) + "\n"
-        line, _ = maybe_torn_write(line)
-        with Path(path).open("a", encoding="utf-8") as handle:
-            use_lock = lock and fcntl is not None
-            if use_lock:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(line)
-                handle.flush()
-            finally:
-                if use_lock:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 def synthesize_journal(

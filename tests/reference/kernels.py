@@ -1,11 +1,11 @@
 """Pure-Python reference implementations of the dispatched kernels.
 
-The scalar tier is the ground truth the randomized equivalence tests pit the
+These loops are the ground truth the randomized equivalence tests pit the
 numpy and compiled tiers against: every loop mirrors the mathematical
 definition one element at a time, with no vectorization and no clever
-orderings.  It is deliberately slow — selecting it for a hot path is a
-measurement exercise (the tier-comparison harness does exactly that), not a
-production configuration.
+orderings.  They are deliberately slow and no production tier selects
+them; :func:`scalar_kernels` routes the dispatch layer through them for
+the duration of a block.
 
 Arithmetic note: accumulations run in Python floats (double precision) and
 results are stored back in the caller's dtype, except where the *merge*
@@ -17,11 +17,15 @@ the numpy tier's ``np.unique``).
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from contextlib import contextmanager
+from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.kernels import dispatch
+
 __all__ = [
+    "scalar_kernels",
     "outer_downdate",
     "banded_downdate",
     "convolve_support",
@@ -135,3 +139,19 @@ def marginal_gains(
             w = float(weights[i])
             out[i] = 2.0 * w * float(matvec[i]) - (w * w) * float(diagonal[i])
     return out
+
+
+@contextmanager
+def scalar_kernels() -> Iterator[None]:
+    """Run every dispatched kernel through the loops above inside the block.
+
+    Swaps the dispatch layer's active implementation table and restores it
+    on exit, so engines built and run inside the block take the reference
+    arithmetic.  The requested and effective tiers are left untouched.
+    """
+    saved = dispatch._ACTIVE
+    dispatch._ACTIVE = {name: globals()[name] for name in saved}
+    try:
+        yield
+    finally:
+        dispatch._ACTIVE = saved

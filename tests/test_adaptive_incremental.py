@@ -4,8 +4,9 @@ Pins the incremental conditioning engine — reveal overlays
 (:meth:`UncertainDatabase.conditioned`), condition-chained
 :class:`DecomposedEVCalculator` updates, the batched
 :class:`SingletonSurpriseKernel`, and the incremental adaptive policies — to
-the from-scratch ``cleaned()`` rebuild paths, step for step, over randomized
-workloads at fixed seeds.
+the from-scratch ``cleaned()`` rebuild paths (``AdaptiveMinVar``'s teardown
+loop and the twins in ``reference.adaptive``), step for step, over
+randomized workloads at fixed seeds.
 """
 
 import gc
@@ -34,6 +35,7 @@ from repro.datasets.synthetic import generate_urx
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import DiscreteDistribution, NormalSpec
 from repro.uncertainty.objects import UncertainObject
+from reference.adaptive import ScratchAdaptiveMaxPr
 
 ATOL = 1e-9
 
@@ -281,7 +283,7 @@ class TestAdaptiveRunEquivalence:
         truth = db.sample_world(rng)
         budget = float(db.total_cost * rng.uniform(0.2, 0.6))
         incremental = AdaptiveMinVar(measure).run(db, budget, ground_truth_oracle(truth))
-        scratch = AdaptiveMinVar(measure, incremental=False).run(
+        scratch = AdaptiveMinVar(measure)._run_scratch(
             db, budget, ground_truth_oracle(truth)
         )
         assert_runs_match(incremental, scratch)
@@ -295,7 +297,7 @@ class TestAdaptiveRunEquivalence:
         truth = db.sample_world(rng)
         budget = float(db.total_cost * 0.5)
         incremental = AdaptiveMinVar(claim).run(db, budget, ground_truth_oracle(truth))
-        scratch = AdaptiveMinVar(claim, incremental=False).run(
+        scratch = AdaptiveMinVar(claim)._run_scratch(
             db, budget, ground_truth_oracle(truth)
         )
         assert_runs_match(incremental, scratch)
@@ -309,7 +311,7 @@ class TestAdaptiveRunEquivalence:
         truth = db.sample_world(rng)
         budget = float(db.total_cost * 0.4)
         incremental = AdaptiveMinVar(claim).run(db, budget, ground_truth_oracle(truth))
-        scratch = AdaptiveMinVar(claim, incremental=False).run(
+        scratch = AdaptiveMinVar(claim)._run_scratch(
             db, budget, ground_truth_oracle(truth)
         )
         assert_runs_match(incremental, scratch)
@@ -329,7 +331,7 @@ class TestAdaptiveRunEquivalence:
         incremental = AdaptiveMaxPr(bias, **policy_kwargs).run(
             db, budget, ground_truth_oracle(truth)
         )
-        scratch = AdaptiveMaxPr(bias, incremental=False, **policy_kwargs).run(
+        scratch = ScratchAdaptiveMaxPr(bias, **policy_kwargs).run(
             db, budget, ground_truth_oracle(truth)
         )
         assert_runs_match(incremental, scratch)
@@ -347,7 +349,7 @@ class TestAdaptiveRunEquivalence:
         incremental = AdaptiveMaxPr(indicator, tau=0.0).run(
             db, budget, ground_truth_oracle(truth)
         )
-        scratch = AdaptiveMaxPr(indicator, tau=0.0, incremental=False).run(
+        scratch = ScratchAdaptiveMaxPr(indicator, tau=0.0).run(
             db, budget, ground_truth_oracle(truth)
         )
         assert_runs_match(incremental, scratch)

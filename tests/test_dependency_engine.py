@@ -25,6 +25,8 @@ from repro.uncertainty.correlation import GaussianWorldModel, decaying_covarianc
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import NormalSpec
 from repro.uncertainty.objects import UncertainObject
+from reference.adaptive import ScratchAdaptiveDep
+from reference.greedy import ScratchGreedyDep
 
 N_OBJECTS = 12
 
@@ -73,8 +75,8 @@ class TestGreedyDepIncrementalEquivalence:
             incremental = GreedyDep(claim, model, conditional=conditional)._run(
                 database, budget, record_steps=incremental_steps
             )
-            scratch = GreedyDep(
-                claim, model, conditional=conditional, incremental=False
+            scratch = ScratchGreedyDep(
+                claim, model, conditional=conditional
             )._run(database, budget, record_steps=scratch_steps)
             assert incremental == scratch
             assert len(incremental_steps) == len(scratch_steps)
@@ -91,8 +93,8 @@ class TestGreedyDepIncrementalEquivalence:
         trace = solver.trace(database, max_budget)
         for fraction in (0.1, 0.3, 0.55, 0.8):
             budget = database.total_cost * fraction
-            scratch = GreedyDep(
-                claim, model, conditional=conditional, incremental=False
+            scratch = ScratchGreedyDep(
+                claim, model, conditional=conditional
             ).select_indices(database, budget)
             assert trace.indices_at(budget) == scratch
 
@@ -101,14 +103,14 @@ class TestGreedyDepIncrementalEquivalence:
         database, claim, model = _dep_setup(2)
         solver = GreedyDep(claim, model)
         solver.select_indices(database, database.total_cost * 0.3)
-        assert solver.last_benefit_evaluations is None
+        assert not hasattr(solver, "last_benefit_evaluations")
 
     def test_scratch_cache_is_per_run(self):
         """The unbounded per-frozenset cache is gone: repeated runs still agree
         (determinism is what the trace read-back relies on), and the solver
         object holds no cross-run cache state."""
         database, claim, model = _dep_setup(3)
-        solver = GreedyDep(claim, model, incremental=False)
+        solver = ScratchGreedyDep(claim, model)
         budget = database.total_cost * 0.4
         first = solver.select_indices(database, budget)
         second = solver.select_indices(database, budget)
@@ -128,10 +130,8 @@ class TestLazyCelf:
         database, claim, model = _dep_setup(seed, weight_low=0.2)
         for fraction in (0.3, 0.6):
             budget = database.total_cost * fraction
-            eager = GreedyDep(claim, model, conditional=conditional, incremental=False)
-            lazy = GreedyDep(
-                claim, model, conditional=conditional, incremental=False, lazy=True
-            )
+            eager = ScratchGreedyDep(claim, model, conditional=conditional)
+            lazy = ScratchGreedyDep(claim, model, conditional=conditional, lazy=True)
             assert eager.select_indices(database, budget) == lazy.select_indices(
                 database, budget
             )
@@ -165,19 +165,20 @@ class TestLazyCelf:
         assert lazy.last_benefit_evaluations <= eager.last_benefit_evaluations
 
     def test_lazy_requires_explicit_scratch_mode(self):
-        # lazy=True with the (default) incremental engine would silently fall
-        # back to the slow scratch loop — reject it at construction instead.
+        # The engine scores every candidate in one vectorized pass, so there
+        # are no per-candidate evaluations for CELF to skip: GreedyDep has no
+        # lazy mode at all, only the scratch twin does.
         database, claim, model = _dep_setup(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GreedyDep(claim, model, lazy=True)
 
     def test_lazy_reduces_evaluations_materially(self):
         """Not just <=: on a non-trivial run CELF skips a real fraction."""
         database, claim, model = _dep_setup(7, weight_low=0.2)
         budget = database.total_cost * 0.6
-        eager = GreedyDep(claim, model, incremental=False)
+        eager = ScratchGreedyDep(claim, model)
         eager.select_indices(database, budget)
-        lazy = GreedyDep(claim, model, incremental=False, lazy=True)
+        lazy = ScratchGreedyDep(claim, model, lazy=True)
         lazy.select_indices(database, budget)
         assert lazy.last_benefit_evaluations < eager.last_benefit_evaluations
 
@@ -192,8 +193,8 @@ class TestAdaptiveDep:
         incremental = AdaptiveDep(claim, model, conditional=conditional).run(
             database, budget, ground_truth_oracle(truth)
         )
-        scratch = AdaptiveDep(
-            claim, model, conditional=conditional, incremental=False
+        scratch = ScratchAdaptiveDep(
+            claim, model, conditional=conditional
         ).run(database, budget, ground_truth_oracle(truth))
         assert incremental.cleaned_indices == scratch.cleaned_indices
         assert incremental.final_objective == pytest.approx(

@@ -2,7 +2,7 @@
 
 Covers the resilience toolbox in isolation (deterministic fault plans,
 backoff policies, counters) and each degradation chain it drives:
-kernel→numpy, pool→serial, torn-journal recovery, NaN-event rejection —
+kernel→numpy, pool→serial, NaN-event rejection —
 ending with the chaos invariant: a faulted replay's plans are identical
 to a clean replay's, only its counters differ.
 """
@@ -275,36 +275,19 @@ def test_collect_or_rerun_passes_real_errors_through():
 
 
 # --------------------------------------------------------------------- #
-# Degradation chain: torn journal writes and recovery (satellite 1)
+# Malformed journal files fail loudly, naming where
 # --------------------------------------------------------------------- #
-def test_torn_write_strict_mode_names_line_and_offset(tmp_path):
+def test_malformed_journal_file_names_line_and_offset(tmp_path):
     path = tmp_path / "journal.jsonl"
-    events = [RevealEvent(index=i, value=float(i)) for i in range(4)]
-    plan = FaultPlan(seed=0, rates={"journal": 1.0}, max_consecutive=1)
-    with fault_scope(plan):
-        for event in events:
-            Journal.append(path, event)
+    Journal([RevealEvent(index=i, value=float(i)) for i in range(3)]).to_jsonl(path)
+    valid_bytes = path.stat().st_size
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"kind": "reveal", "ind\n')  # a line cut off mid-record
     with pytest.raises(JournalCorruptionError) as excinfo:
         Journal.from_jsonl(path)
-    assert excinfo.value.line_number == 1
-    assert excinfo.value.byte_offset == 0
-    assert "line 1" in str(excinfo.value)
-
-
-def test_torn_write_recovery_keeps_valid_prefix(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    events = [RevealEvent(index=i, value=float(i)) for i in range(5)]
-    for event in events[:3]:
-        Journal.append(path, event)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "reveal", "ind')  # the torn tail of a crash
-    with pytest.raises(JournalCorruptionError):
-        Journal.from_jsonl(path)
-    with degradation_scope() as counters:
-        with pytest.warns(RuntimeWarning, match="line 4"):
-            recovered = Journal.from_jsonl(path, recover=True)
-    assert [e.index for e in recovered.events] == [0, 1, 2]
-    assert counters.get("journal", "truncated") == 1
+    assert excinfo.value.line_number == 4
+    assert excinfo.value.byte_offset == valid_bytes
+    assert "line 4" in str(excinfo.value)
 
 
 # --------------------------------------------------------------------- #

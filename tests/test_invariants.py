@@ -1,20 +1,16 @@
-"""Seeded property tests for the anytime trace, store checksums and journal.
+"""Seeded property tests for the anytime trace and store checksums.
 
 No hypothesis here on purpose: every case is a pure function of an
 explicit seed loop, so a failure names its seed and replays bit-identically
-anywhere.  Three invariant families:
+anywhere.  Two invariant families:
 
 * ``SelectionTrace`` read-backs are *exact* — at every budget, the traced
   prefix + resume equals a from-scratch solve, is budget-feasible, and
   grows monotonically with the budget;
 * ``PlanStore.verify()`` catches **every** single-byte flip in any
   checksummed row payload (CRC32 detects all single-byte errors, so a
-  miss would mean verify skipped the row);
-* concurrent ``Journal.append`` calls serialize whole lines (the
-  ``flock`` guard) — no torn or interleaved JSONL under thread pressure.
+  miss would mean verify skipped the row).
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -23,7 +19,6 @@ from repro.claims.functions import LinearClaim
 from repro.core import GreedyMinVar
 from repro.core.solver import _BUDGET_EPS
 from repro.store.sqlite_store import PlanStore
-from repro.streaming.events import Journal, RevealEvent
 from repro.uncertainty.database import UncertainDatabase
 
 
@@ -179,32 +174,3 @@ def test_verify_names_the_corrupt_column_page(tmp_path):
         entry = report["corrupt"][0]
         assert entry["table"] == "column_pages"
         assert entry["column"] == "means"
-
-
-# --------------------------------------------------------------------- #
-# Journal.append under concurrent writers (the flock guard)
-# --------------------------------------------------------------------- #
-def test_concurrent_journal_appends_never_tear_lines(tmp_path):
-    path = tmp_path / "journal.jsonl"
-    writers, per_writer = 8, 50
-    barrier = threading.Barrier(writers)
-
-    def worker(writer_id: int) -> None:
-        barrier.wait()
-        for i in range(per_writer):
-            Journal.append(
-                path, RevealEvent(index=writer_id, value=float(i))
-            )
-
-    threads = [threading.Thread(target=worker, args=(w,)) for w in range(writers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    # Every line parses (no torn/interleaved writes) ...
-    journal = Journal.from_jsonl(path)
-    assert len(journal.events) == writers * per_writer
-    # ... and every (writer, op) pair landed exactly once.
-    seen = {(event.index, event.value) for event in journal.events}
-    assert seen == {(w, float(i)) for w in range(writers) for i in range(per_writer)}

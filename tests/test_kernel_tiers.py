@@ -3,8 +3,9 @@
 Contracts pinned here:
 
 * **Every tier computes the same thing.**  For each of the six dispatched
-  kernels, randomized inputs produce matching results under the ``scalar``,
-  ``numpy`` and (when a backend exists) ``compiled`` tiers — float64 within
+  kernels, randomized inputs produce matching results under the pure-Python
+  reference loops (``scalar``, from ``reference.kernels``), the ``numpy``
+  tier and (when a backend exists) the ``compiled`` tier — float64 within
   atol 1e-9, float32 within float32-scaled tolerances.
 * **Selections never depend on the tier.**  Greedy runs over dense and
   banded engines pick identical objects under every tier.
@@ -36,10 +37,12 @@ from repro.uncertainty.correlation import (
 )
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.structured import BandedCovariance
+from reference.kernels import scalar_kernels
 
-#: Tiers that can actually execute on this machine.  The compiled tier is
-#: included only when a backend resolved; the loud-fallback test below covers
-#: the no-backend behavior either way.
+#: Implementations that can actually execute on this machine: the scalar
+#: reference loops plus the production tiers.  The compiled tier is included
+#: only when a backend resolved; the loud-fallback test below covers the
+#: no-backend behavior either way.
 AVAILABLE_TIERS = ["scalar", "numpy"] + (
     ["compiled"] if kernels.compiled_available() else []
 )
@@ -54,11 +57,16 @@ TOLERANCES = {
 DTYPES = [np.float64, np.float32]
 
 
+def _tier_scope(tier):
+    """The scalar reference loops, or a production tier, for one block."""
+    return scalar_kernels() if tier == "scalar" else kernels.kernel_tier(tier)
+
+
 def _per_tier(function):
     """Run a zero-argument closure once under every available tier."""
     results = {}
     for tier in AVAILABLE_TIERS:
-        with kernels.kernel_tier(tier):
+        with _tier_scope(tier):
             results[tier] = function()
     return results
 
@@ -210,7 +218,7 @@ class TestSelectionEquivalence:
 
         selections = {}
         for tier in AVAILABLE_TIERS:
-            with kernels.kernel_tier(tier):
+            with _tier_scope(tier):
                 model = GaussianWorldModel(database.current_values, sigma)
                 solver = GreedyDep(claim, model, conditional=True)
                 selections[tier] = tuple(solver.select_indices(database, budget))
@@ -226,7 +234,7 @@ class TestSelectionEquivalence:
 
         selections = {}
         for tier in AVAILABLE_TIERS:
-            with kernels.kernel_tier(tier):
+            with _tier_scope(tier):
                 model = GaussianWorldModel.from_structure(
                     database.current_values, structure
                 )
@@ -239,7 +247,7 @@ class TestSelectionEquivalence:
         budget = database.total_cost * 0.4
         selections = {}
         for tier in AVAILABLE_TIERS:
-            with kernels.kernel_tier(tier):
+            with _tier_scope(tier):
                 selections[tier] = tuple(
                     GreedyMinVar(claim).select_indices(database, budget)
                 )
@@ -257,9 +265,9 @@ class TestDispatchBehavior:
 
     def test_tier_context_restores(self):
         before = kernels.get_kernel_tier()
-        with kernels.kernel_tier("scalar"):
-            assert kernels.get_kernel_tier() == "scalar"
-            assert kernels.effective_tier() == "scalar"
+        with kernels.kernel_tier("numpy"):
+            assert kernels.get_kernel_tier() == "numpy"
+            assert kernels.effective_tier() == "numpy"
         assert kernels.get_kernel_tier() == before
 
     def test_dtype_context_restores(self):

@@ -12,6 +12,7 @@ from repro.core.knapsack import (
     solve_knapsack_greedy,
     solve_min_knapsack_dp,
 )
+from reference.knapsack import solve_knapsack_dp_scalar, solve_knapsack_fptas_scalar
 
 
 def brute_force_max(values, costs, budget):
@@ -196,7 +197,7 @@ class TestScalarVectorizedEquivalence:
             costs = np.ceil(costs)  # exercise the exact integer-cost grid too
         budget = float(r.uniform(0.5, costs.sum()))
         fast = solve_knapsack_dp(values, costs, budget)
-        slow = solve_knapsack_dp(values, costs, budget, vectorized=False)
+        slow = solve_knapsack_dp_scalar(values, costs, budget)
         assert fast == slow
 
     @pytest.mark.parametrize("seed", range(8))
@@ -208,12 +209,12 @@ class TestScalarVectorizedEquivalence:
         budget = float(r.uniform(0.5, costs.sum()))
         epsilon = float(r.uniform(0.05, 0.5))
         fast = solve_knapsack_fptas(values, costs, budget, epsilon=epsilon)
-        slow = solve_knapsack_fptas(values, costs, budget, epsilon=epsilon, vectorized=False)
+        slow = solve_knapsack_fptas_scalar(values, costs, budget, epsilon=epsilon)
         assert fast == slow
 
     def test_dp_scalar_respects_budget_and_optimality(self):
         values = [6.0, 10.0, 12.0]
         costs = [1.0, 2.0, 3.0]
-        solution = solve_knapsack_dp(values, costs, 5.0, vectorized=False)
+        solution = solve_knapsack_dp_scalar(values, costs, 5.0)
         assert set(solution.selected) == {1, 2}
         assert solution.total_value == pytest.approx(22.0)

@@ -20,6 +20,11 @@ from repro.core.partial import (
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import DiscreteDistribution, NormalSpec
 from repro.uncertainty.objects import UncertainObject
+from reference.entropy import (
+    entropy_of_pmf_scalar,
+    expected_entropy_scalar,
+    result_entropy_scalar,
+)
 
 
 def discrete_obj(cost=1.0):
@@ -224,8 +229,6 @@ class TestVectorizedEntropyEquivalence:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_entropy_of_pmf_matches_scalar(self, seed):
-        from repro.core.entropy import entropy_of_pmf_scalar
-
         rng = np.random.default_rng(seed)
         mass = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 40)))
         mass = mass / mass.sum()
@@ -241,9 +244,9 @@ class TestVectorizedEntropyEquivalence:
         indicator = ThresholdClaim(SumClaim(range(7)), threshold=120.0, op=">=")
         for function in (linear, indicator):
             assert result_entropy(db, function) == pytest.approx(
-                result_entropy(db, function, vectorized=False), abs=1e-9
+                result_entropy_scalar(db, function), abs=1e-9
             )
             for cleaned in ([], [0], [1, 4], [0, 2, 5, 6]):
                 assert expected_entropy(db, function, cleaned) == pytest.approx(
-                    expected_entropy(db, function, cleaned, vectorized=False), abs=1e-9
+                    expected_entropy_scalar(db, function, cleaned), abs=1e-9
                 )

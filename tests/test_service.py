@@ -347,6 +347,19 @@ def test_storage_backed_rejects_discrete_workloads(tmp_path):
     manager.close()
 
 
+def test_storage_backed_must_be_a_json_boolean(client):
+    # bool("false") is True: a string must not silently switch paging on.
+    for bad in ("false", "true", 0, 1, None):
+        status, body = client.request(
+            "POST", "/sessions", body={"n": 40, "budget": 7.0, "storage_backed": bad}
+        )
+        assert status == 400 and body["code"] == "bad_field", bad
+        assert "storage_backed" in body["error"]
+    for good in (True, False):
+        created = _linear_session(client, storage_backed=good)
+        assert client.info(created["session"])["storage_backed"] is good
+
+
 # --------------------------------------------------------------------- #
 # The readers-writer lock
 # --------------------------------------------------------------------- #

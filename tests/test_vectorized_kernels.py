@@ -1,15 +1,16 @@
 """Randomized equivalence tests: vectorized kernels vs retained scalar paths.
 
 Every batched-array kernel added by the vectorized kernel layer is pitted
-against its retained scalar reference on randomized instances:
+against its scalar twin from ``reference`` on randomized instances:
 
 * array pmf convolution (:func:`weighted_sum_pmf`) vs the dict-based
-  :func:`weighted_sum_pmf_scalar`;
-* batched exact EV (:func:`expected_variance_exact`) vs ``vectorized=False``;
+  ``weighted_sum_pmf_scalar``;
+* batched exact EV (:func:`expected_variance_exact`) vs
+  ``expected_variance_exact_scalar``;
 * the decomposed Theorem 3.8 calculator (grids + batched supports) vs its
   scalar twin, for all three quality measures *and* an opaque (non-whitelisted)
   strength function that forces the loop fallbacks;
-* batched exact surprise probability vs ``vectorized=False``;
+* batched exact surprise probability vs ``surprise_probability_exact_scalar``;
 * both Monte-Carlo estimators, which share one RNG stream across paths so a
   fixed seed must give matching estimates;
 * ``evaluate_batch`` vs per-row ``evaluate`` for every claim shape;
@@ -30,7 +31,6 @@ from repro.core.expected_variance import (
     expected_variance_exact,
     expected_variance_monte_carlo,
     weighted_sum_pmf,
-    weighted_sum_pmf_scalar,
 )
 from repro.core.surprise import (
     surprise_probability_exact,
@@ -39,6 +39,16 @@ from repro.core.surprise import (
 from repro.uncertainty.database import UncertainDatabase
 from repro.uncertainty.distributions import DiscreteDistribution
 from repro.uncertainty.objects import UncertainObject
+from reference.expected_variance import (
+    ScalarDecomposedEVCalculator,
+    expected_variance_exact_scalar,
+    expected_variance_monte_carlo_scalar,
+    weighted_sum_pmf_scalar,
+)
+from reference.surprise import (
+    surprise_probability_exact_scalar,
+    surprise_probability_monte_carlo_scalar,
+)
 
 ATOL = 1e-9
 SEEDS = list(range(20))
@@ -127,7 +137,7 @@ def test_exact_ev_matches_scalar(seed):
         )
     cleaned = random_cleaned(rng, len(db))
     fast = expected_variance_exact(db, claim, cleaned)
-    reference = expected_variance_exact(db, claim, cleaned, vectorized=False)
+    reference = expected_variance_exact_scalar(db, claim, cleaned)
     assert fast == pytest.approx(reference, abs=ATOL)
 
 
@@ -139,7 +149,7 @@ def test_decomposed_ev_matches_scalar(seed):
     strength = (subtraction_strength, lower_is_stronger)[seed % 2]
     measure = random_measure(rng, db, cls, strength)
     fast = DecomposedEVCalculator(db, measure)
-    reference = DecomposedEVCalculator(db, measure, vectorized=False)
+    reference = ScalarDecomposedEVCalculator(db, measure)
     for _ in range(3):
         cleaned = random_cleaned(rng, len(db))
         assert fast.expected_variance(cleaned) == pytest.approx(
@@ -164,7 +174,7 @@ def test_decomposed_ev_opaque_strength_loop_fallback(seed):
     measure = random_measure(rng, db, Fragility, odd_strength)
     assert all(term.transform_batch is None for term in measure.terms)
     fast = DecomposedEVCalculator(db, measure)
-    reference = DecomposedEVCalculator(db, measure, vectorized=False)
+    reference = ScalarDecomposedEVCalculator(db, measure)
     cleaned = random_cleaned(rng, len(db))
     # The unnormalized cubic strength inflates magnitudes to ~1e9, where a
     # pure absolute tolerance sits below accumulation-order noise; allow a
@@ -184,7 +194,7 @@ def test_surprise_exact_matches_scalar(seed):
     cleaned = random_cleaned(rng, len(db))
     tau = float(rng.uniform(0.0, 1.0))
     fast = surprise_probability_exact(db, claim, cleaned, tau=tau)
-    reference = surprise_probability_exact(db, claim, cleaned, tau=tau, vectorized=False)
+    reference = surprise_probability_exact_scalar(db, claim, cleaned, tau=tau)
     assert fast == pytest.approx(reference, abs=ATOL)
 
 
@@ -199,14 +209,13 @@ def test_monte_carlo_ev_matches_scalar_with_fixed_seed(seed):
     fast = expected_variance_monte_carlo(
         db, claim, cleaned, np.random.default_rng(seed), outer_samples=5, inner_samples=20
     )
-    reference = expected_variance_monte_carlo(
+    reference = expected_variance_monte_carlo_scalar(
         db,
         claim,
         cleaned,
         np.random.default_rng(seed),
         outer_samples=5,
         inner_samples=20,
-        vectorized=False,
     )
     assert fast == pytest.approx(reference, abs=ATOL)
 
@@ -220,14 +229,13 @@ def test_monte_carlo_surprise_matches_scalar_with_fixed_seed(seed):
     fast = surprise_probability_monte_carlo(
         db, claim, cleaned, np.random.default_rng(seed), tau=0.5, samples=200
     )
-    reference = surprise_probability_monte_carlo(
+    reference = surprise_probability_monte_carlo_scalar(
         db,
         claim,
         cleaned,
         np.random.default_rng(seed),
         tau=0.5,
         samples=200,
-        vectorized=False,
     )
     assert fast == pytest.approx(reference, abs=ATOL)
 
