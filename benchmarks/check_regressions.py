@@ -71,6 +71,8 @@ RULES = {
         ("chaos_plan_divergence", "<=", "chaos_divergence_ceiling"),
     ],
     "BENCH_service.json": [
+        ("read_p50_ms", "<=", "read_p50_ceiling_ms"),
+        ("ingest_p50_ms", "<=", "ingest_p50_ceiling_ms"),
         ("read_p99_ms", "<=", "read_p99_ceiling_ms"),
         ("ingest_p99_ms", "<=", "ingest_p99_ceiling_ms"),
         ("responses_verified", ">=", "responses_required"),

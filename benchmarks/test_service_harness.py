@@ -61,10 +61,15 @@ SESSION_CONFIGS = (
     {"kind": "urx_uniqueness", "n": 48, "seed": 4, "budget": 12.0},
 )
 
-#: Latency ceilings (generous: CI runners share cores with 16 client
-#: threads and a GIL-bound threaded server).
-READ_P99_CEILING_MS = 2_000.0
-INGEST_P99_CEILING_MS = 10_000.0
+#: Latency ceilings.  Measured on 1-2 cores: read p50 8-11 ms / p99
+#: 33-75 ms, ingest p50 10-13 ms / p99 38-50 ms; the p99 ceilings leave CI
+#: headroom (runners share cores with 16 client threads and a GIL-bound
+#: threaded server).  The p50 ceilings sit below the 40 ms delayed-ACK
+#: timer, so a reply that waits on the peer's ACK again fails the gate.
+READ_P50_CEILING_MS = 30.0
+INGEST_P50_CEILING_MS = 30.0
+READ_P99_CEILING_MS = 500.0
+INGEST_P99_CEILING_MS = 500.0
 
 #: Acked keyed ingests the SIGKILL leg commits before the hard kill.
 SIGKILL_EVENTS = 25
@@ -181,9 +186,11 @@ def test_service_concurrent_history_and_sigkill(tmp_path):
         "reads": len(read_latencies),
         "ingests": len(ingest_latencies),
         "read_p50_ms": read_p50,
+        "read_p50_ceiling_ms": READ_P50_CEILING_MS,
         "read_p99_ms": read_p99,
         "read_p99_ceiling_ms": READ_P99_CEILING_MS,
         "ingest_p50_ms": ingest_p50,
+        "ingest_p50_ceiling_ms": INGEST_P50_CEILING_MS,
         "ingest_p99_ms": ingest_p99,
         "ingest_p99_ceiling_ms": INGEST_P99_CEILING_MS,
         "responses_verified": counters["responses_verified"],
@@ -208,5 +215,7 @@ def test_service_concurrent_history_and_sigkill(tmp_path):
     assert counters["responses_verified"] == THREADS * OPS_PER_THREAD
     assert lost == 0
     assert post_resume_version == SIGKILL_EVENTS + 1
+    assert read_p50 <= READ_P50_CEILING_MS
+    assert ingest_p50 <= INGEST_P50_CEILING_MS
     assert read_p99 <= READ_P99_CEILING_MS
     assert ingest_p99 <= INGEST_P99_CEILING_MS

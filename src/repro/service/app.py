@@ -18,6 +18,14 @@ canonical JSON of :mod:`repro.service.wire`.  Routes:
 ``DELETE /sessions/{id}``             close the session, remove its store
 ====================================  =========================================
 
+Wire framing: every reply leaves the server in one send.  The handler's
+``wfile`` is buffered, so the status line, headers and body of a reply
+collect in one buffer that ``handle_one_request`` flushes once, and
+``TCP_NODELAY`` is set on every accepted socket.  Without both, a reply
+written as headers-then-body would let Nagle's algorithm hold the body
+until the client's delayed ACK (40 ms on Linux) arrives, on every
+keep-alive round trip.
+
 Fault site ``http`` injects a request failure at dispatch time — *before*
 any durable write — surfaced as a 503 with ``"retryable": true``; clients
 re-send with the same idempotency key and observe exactly-once ingest.
@@ -25,7 +33,9 @@ re-send with the same idempotency key and observe exactly-once ingest.
 
 from __future__ import annotations
 
+import sys
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -50,6 +60,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service/1.0"
+    # One send per reply (see "Wire framing" above).  NODELAY still matters
+    # for a reply larger than the buffer and for stdlib error pages.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     # Quiet by default: per-request stderr lines would swamp the harness.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -99,8 +113,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except ServiceError as error:
             status, body = error.status, error.body()
         except StoreCorruptionError as error:
+            sys.stderr.write(traceback.format_exc())
             status, body = 500, {"error": str(error), "code": "store_corruption"}
-        except Exception as error:  # pragma: no cover - last-resort mapping
+        except Exception as error:
+            # Every 500 leaves its traceback on stderr; other answers are silent.
+            sys.stderr.write(traceback.format_exc())
             status, body = 500, {"error": f"{type(error).__name__}: {error}", "code": "internal"}
         self._reply(status, body)
 

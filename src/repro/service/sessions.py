@@ -377,7 +377,8 @@ class Session:
         The sequence under the write lock:
 
         1. an already-seen ``idempotency_key`` short-circuits to a replay
-           of the original ack (read from the plan row at its seq);
+           of the original ack (one primary-key read of the plan row at
+           its seq, whatever the session's history length);
         2. the event is parsed and validated *before* anything durable —
            a 400 never leaves a journal row behind;
         3. the event row and the key row commit in one transaction;
@@ -414,11 +415,7 @@ class Session:
 
     def _replay_ack(self, seq: int, idempotency_key: str) -> Dict[str, object]:
         """Reconstruct the ack a key's original ingest returned."""
-        record = None
-        for row_seq, row in self.store.plan_records(self.session_id, upto_seq=seq):
-            if row_seq == seq:
-                record = row
-                break
+        record = self.store.plan_record(self.session_id, seq)
         if record is None:
             # The key committed with its event but the plan row has not
             # landed yet (a crash happened in between and resume has not

@@ -326,6 +326,22 @@ class PlanStore:
             (stream_id, int(seq), text, _checksum(text)),
         )
 
+    def plan_record(self, stream_id: str, seq: int) -> Optional[Dict[str, object]]:
+        """The committed plan after event ``seq``, or ``None`` when it has no row.
+
+        One primary-key lookup, checksum-verified like every read: the
+        idempotent-replay path calls this per re-sent key, so its cost must
+        not grow with the stream's history.
+        """
+        row = self._execute(
+            "SELECT payload, checksum FROM plans WHERE stream_id = ? AND seq = ?",
+            (stream_id, int(seq)),
+        ).fetchone()
+        if row is None:
+            return None
+        payload, checksum = row
+        return self._verified(payload, checksum, "plans", stream_id, int(seq))
+
     def plan_records(
         self, stream_id: str, upto_seq: Optional[int] = None
     ) -> List[Tuple[int, Dict[str, object]]]:

@@ -1,12 +1,18 @@
 """Unit tests for the cleaning-recommendation service.
 
-Endpoint behavior, idempotent ingest, the fault matrix over the new
-``http`` / ``store-read`` sites, planner ownership, and the
-storage-backed database mode (lazy loads + dirty-page writeback).
+Endpoint behavior, keep-alive wire latency, idempotent ingest and its
+replay path, 500 tracebacks, the fault matrix over the new ``http`` /
+``store-read`` sites, planner ownership, and the storage-backed database
+mode (lazy loads + dirty-page writeback).
 """
 
+import http.client
+import json
 import math
+import sqlite3
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +30,7 @@ from repro.service import (
     SessionManager,
     plan_signature_hex,
 )
-from repro.service.sessions import _RWLock
+from repro.service.sessions import Session, _RWLock
 from repro.store import DatabasePageStore, PlanStore, StoredDatabase
 from repro.streaming.planner import StreamingPlanner
 from repro.uncertainty.database import UncertainDatabase
@@ -148,6 +154,73 @@ def test_uniqueness_workload_sessions_serve_decomposed_track(client):
 
 
 # --------------------------------------------------------------------- #
+# Wire framing
+# --------------------------------------------------------------------- #
+#: A keep-alive round trip must stay far below the 40 ms delayed-ACK timer
+#: that a reply sent as two writes waits on under Nagle's algorithm.
+KEEPALIVE_MEDIAN_CEILING_MS = 20.0
+
+
+def test_keep_alive_round_trips_do_not_wait_for_delayed_acks(client, service):
+    sid = _linear_session(client)["session"]
+    host, port = service.url[len("http://") :].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+
+    def round_trip(method, path, body=None, headers=None):
+        start = time.perf_counter()
+        connection.request(method, path, body=body, headers=headers or {})
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        assert response.status == 200, payload
+        return elapsed_ms
+
+    # Timed with injection off: under a chaos plan, store-fault retries
+    # sleep through their backoff, which is not wire framing.
+    try:
+        with fault_scope(FaultPlan(seed=0, rates={})):
+            round_trip("GET", f"/sessions/{sid}/plan")
+            sock = connection.sock
+            reads = [round_trip("GET", f"/sessions/{sid}/plan") for _ in range(25)]
+            ingests = [
+                round_trip(
+                    "POST",
+                    f"/sessions/{sid}/events",
+                    body=json.dumps({"kind": "reveal", "index": i, "value": 9.0 + i}),
+                    headers={
+                        "Content-Type": "application/json",
+                        "X-Idempotency-Key": f"ka-{i}",
+                    },
+                )
+                for i in range(25)
+            ]
+        # One connection carried every request: nothing reconnected.
+        assert connection.sock is sock
+    finally:
+        connection.close()
+    assert statistics.median(reads) < KEEPALIVE_MEDIAN_CEILING_MS, reads
+    assert statistics.median(ingests) < KEEPALIVE_MEDIAN_CEILING_MS, ingests
+
+
+def test_internal_errors_return_500_and_log_the_traceback(client, monkeypatch, capfd):
+    sid = _linear_session(client)["session"]
+    client.info(sid)
+    assert capfd.readouterr().err == ""  # normal requests stay silent
+
+    def explode(self):
+        raise RuntimeError("boom in info")
+
+    monkeypatch.setattr(Session, "info", explode)
+    status, body = client.request("GET", f"/sessions/{sid}", retry=False)
+    assert status == 500
+    assert body["code"] == "internal"
+    assert "RuntimeError: boom in info" in body["error"]
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: boom in info" in err
+
+
+# --------------------------------------------------------------------- #
 # Idempotency
 # --------------------------------------------------------------------- #
 def test_keyed_retry_is_a_no_op(client, service):
@@ -176,6 +249,48 @@ def test_header_and_body_idempotency_keys_are_equivalent(client, service):
     )
     assert status == 200 and body["idempotent_replay"] is True
     assert service.manager.get(sid).store.event_count(sid) == 1
+
+
+def test_replaying_a_late_key_reads_one_plan_row(client, service, monkeypatch):
+    sid = _linear_session(client)["session"]
+    acks = [
+        client.ingest(
+            sid, {"kind": "reveal", "index": i, "value": 9.0 + i}, idempotency_key=f"k{i}"
+        )
+        for i in range(12)
+    ]
+
+    def scan(*args, **kwargs):
+        raise AssertionError("a replay must not scan the plan history")
+
+    monkeypatch.setattr(PlanStore, "plan_records", scan)
+    replay = client.ingest(
+        sid, {"kind": "reveal", "index": 10, "value": 19.0}, idempotency_key="k10"
+    )
+    assert replay["idempotent_replay"] is True
+    assert replay["seq"] == acks[10]["seq"] == 10
+    assert replay["signature"] == acks[10]["signature"]
+
+
+def test_replay_of_a_key_whose_plan_is_not_durable_is_retryable(client, service):
+    sid = _linear_session(client)["session"]
+    client.ingest(sid, {"kind": "reveal", "index": 3, "value": 9.0}, idempotency_key="late")
+    # The shape a crash between the event commit and the plan commit
+    # leaves behind: the key names seq 0, but plan row 0 is missing.
+    store = service.manager.get(sid).store
+    with sqlite3.connect(store.path) as raw:
+        raw.execute("DELETE FROM plans WHERE stream_id = ? AND seq = 0", (sid,))
+    status, body = client.request(
+        "POST",
+        f"/sessions/{sid}/events",
+        body={"kind": "reveal", "index": 3, "value": 9.0},
+        idempotency_key="late",
+        retry=False,
+    )
+    assert status == 503
+    assert body["code"] == "not_yet_applied"
+    assert body["retryable"] is True
+    assert store.event_count(sid) == 1
 
 
 # --------------------------------------------------------------------- #

@@ -58,6 +58,31 @@ def test_plan_records_replace_and_slice(store):
     assert [seq for seq, _ in store.plan_records("s", upto_seq=1)] == [0, 1]
 
 
+def test_plan_record_reads_one_row(store):
+    store.ensure_stream("s", None)
+    for seq in range(3):
+        store.record_plan("s", seq, {"mode": "warm", "plan": [seq, 7]})
+    assert store.plan_record("s", 1) == {"mode": "warm", "plan": [1, 7]}
+    assert store.plan_record("s", 3) is None
+    assert store.plan_record("other", 0) is None
+
+
+def test_plan_record_detects_a_tampered_checksum(tmp_path):
+    path = tmp_path / "p.db"
+    with PlanStore(path) as store:
+        store.ensure_stream("s", None)
+        store.record_plan("s", 0, {"plan": [1]})
+        store.record_plan("s", 1, {"plan": [2]})
+    with sqlite3.connect(path) as raw:
+        raw.execute("UPDATE plans SET checksum = checksum + 1 WHERE seq = 1")
+        raw.commit()
+    with PlanStore(path) as store:
+        assert store.plan_record("s", 0) == {"plan": [1]}
+        with pytest.raises(StoreCorruptionError) as caught:
+            store.plan_record("s", 1)
+        assert (caught.value.table, caught.value.seq) == ("plans", 1)
+
+
 def test_checkpoints_latest_and_bounded(store):
     store.ensure_stream("s", None)
     for seq in (0, 10, 20):
